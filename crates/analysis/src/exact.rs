@@ -265,17 +265,19 @@ mod tests {
     use ssr_core::generic::GenericRanking;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     fn simulated_mean<P: ssr_engine::InteractionSchema>(
         p: &P,
         start: &[State],
         trials: u64,
     ) -> f64 {
-        let total: u64 = (0..trials)
+        let total: u128 = (0..trials)
             .map(|t| {
-                let mut s = JumpSimulation::new(p, start.to_vec(), 31_000 + t).unwrap();
-                s.run_until_silent(u64::MAX).unwrap().interactions
+                let mut s = CountSimulation::new(p, start.to_vec(), 31_000 + t)
+                    .unwrap()
+                    .with_batching(false);
+                s.run_until_silent(u64::MAX).unwrap().interactions_wide
             })
             .sum();
         total as f64 / trials as f64

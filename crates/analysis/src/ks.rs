@@ -1,6 +1,6 @@
 //! Two-sample Kolmogorov–Smirnov test.
 //!
-//! Used to certify that the naive and jump-chain simulators produce the
+//! Used to certify that the naive simulator and the count engine produce the
 //! *same distribution* of stabilisation times — a much stronger statement
 //! than comparing means. The p-value uses the asymptotic Kolmogorov
 //! distribution `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2k²λ²}` with the

@@ -41,7 +41,8 @@ pub struct SweepOptions {
     pub max_interactions: u64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Engine per grid point (`Auto` = count at large `n`, jump below, so
+    /// Engine per grid point (`Auto` = batching at large `n`, the exact
+    /// chain below, so
     /// heterogeneous grids get the right engine at every point).
     pub engine: EngineKind,
 }

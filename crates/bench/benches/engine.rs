@@ -1,5 +1,6 @@
 //! Criterion benches for the simulation substrate itself: the three
-//! engines head-to-head (naive vs jump vs count), raw RNG and
+//! engine kinds head-to-head (naive vs jump — the count engine with
+//! batching off — vs count), raw RNG and
 //! weighted-sampling primitives, and topology construction costs.
 //!
 //! Two engine comparisons are measured:
@@ -23,7 +24,7 @@ use ssr_core::{GenericRanking, LooseLeaderElection, TreeRanking};
 use ssr_engine::engine::{make_engine, Engine, EngineKind};
 use ssr_engine::fenwick::Fenwick;
 use ssr_engine::rng::Xoshiro256;
-use ssr_engine::{run_with_plan, CountSimulation, FaultPlan, JumpSimulation, Protocol, Simulation};
+use ssr_engine::{run_with_plan, CountSimulation, FaultPlan, Protocol, Simulation};
 use ssr_topology::{BalancedTree, CubicGraph};
 use std::hint::black_box;
 
@@ -117,13 +118,13 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
-                black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
+                black_box(e.run_until_silent(u64::MAX).unwrap().interactions_wide)
             })
         });
     }
     group.finish();
 
-    // Jump vs count at a scale the naive engine cannot reach: the gap
+    // Exact vs batched at a scale the naive engine cannot reach: the gap
     // here is what makes the exp_scale decades tractable.
     let n = 4096;
     let p = GenericRanking::new(n);
@@ -135,7 +136,7 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
-                black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
+                black_box(e.run_until_silent(u64::MAX).unwrap().interactions_wide)
             })
         });
     }
@@ -153,7 +154,7 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
-                black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
+                black_box(e.run_until_silent(u64::MAX).unwrap().interactions_wide)
             })
         });
     }
@@ -167,10 +168,10 @@ fn bench_jump_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("productive_steps_ag_n1024", |b| {
         b.iter_batched(
-            || JumpSimulation::new(&p, vec![0; n], 7).unwrap(),
+            || CountSimulation::new(&p, vec![0; n], 7).unwrap().with_batching(false),
             |mut sim| {
                 for _ in 0..10_000 {
-                    black_box(sim.step_productive());
+                    black_box(sim.advance());
                 }
                 sim
             },
@@ -207,7 +208,7 @@ fn bench_count_batching(c: &mut Criterion) {
                 },
                 |mut sim| {
                     while sim.productive_interactions() < budget
-                        && sim.advance_chain().is_some()
+                        && sim.advance().is_some()
                     {}
                     black_box(sim.productive_interactions())
                 },
@@ -264,7 +265,7 @@ fn bench_count_batching(c: &mut Criterion) {
                 },
                 |mut sim| {
                     while sim.productive_interactions() < budget
-                        && sim.advance_chain().is_some()
+                        && sim.advance().is_some()
                     {}
                     black_box(sim.productive_interactions())
                 },
@@ -301,9 +302,9 @@ fn bench_primitives(c: &mut Criterion) {
         let spread: Vec<u32> = (0..n).map(|i| (i % timers) as u32).collect();
         let mut sim = CountSimulation::new(&p, spread, 9).unwrap();
         b.iter(|| {
-            sim.inject_fault(10, 20);
-            sim.inject_fault(20, 10);
-            black_box(sim.interactions())
+            sim.inject_state_fault(10, 20);
+            sim.inject_state_fault(20, 10);
+            black_box(sim.interactions_wide())
         })
     });
     c.bench_function("fenwick_set_sample_4096", |b| {

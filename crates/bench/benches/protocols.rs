@@ -7,13 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{JumpSimulation, InteractionSchema};
+use ssr_engine::{CountSimulation, Engine, InteractionSchema};
 use std::hint::black_box;
 
-fn run_to_silence<P: InteractionSchema>(p: &P, seed: u64) -> u64 {
+fn run_to_silence<P: InteractionSchema>(p: &P, seed: u64) -> u128 {
     let n = ssr_engine::Protocol::population_size(p);
-    let mut sim = JumpSimulation::new(p, vec![0; n], seed).unwrap();
-    sim.run_until_silent(u64::MAX).unwrap().interactions
+    let mut sim = CountSimulation::new(p, vec![0; n], seed).unwrap().with_batching(false);
+    sim.run_until_silent(u64::MAX).unwrap().interactions_wide
 }
 
 fn bench_stabilisation(c: &mut Criterion) {
@@ -79,8 +79,8 @@ fn bench_kdistant_recovery(c: &mut Criterion) {
                     ssr_engine::init::DuplicatePlacement::Random,
                     &mut rng,
                 );
-                let mut sim = JumpSimulation::new(&ring, cfg, seed).unwrap();
-                black_box(sim.run_until_silent(u64::MAX).unwrap().interactions)
+                let mut sim = CountSimulation::new(&ring, cfg, seed).unwrap().with_batching(false);
+                black_box(sim.run_until_silent(u64::MAX).unwrap().interactions_wide)
             })
         });
     }

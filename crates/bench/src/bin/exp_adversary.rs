@@ -7,9 +7,10 @@
 //!
 //! 1. **Recovery vs burst size** — inject a burst of `f` faults into a
 //!    long-silent ring population at a fixed clock time and measure the
-//!    recovery-time distribution per burst size, on the jump engine and
-//!    the count engine **under the identical fault schedule**. The two
-//!    engines simulate the same stochastic process, so their recovery
+//!    recovery-time distribution per burst size, on the exact chain
+//!    (`jump`: the count engine with batching off) and the batched count
+//!    engine **under the identical fault schedule**. The two kinds
+//!    simulate the same stochastic process, so their recovery
 //!    distributions must agree (KS test), the per-trial fault schedules
 //!    must match exactly, and recovery should scale like Theorem 1's
 //!    `O(k·n^{3/2})` with `k ≤ f`.

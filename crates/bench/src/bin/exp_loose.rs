@@ -21,9 +21,8 @@ use std::time::Instant;
 use ssr_analysis::{Summary, Table};
 use ssr_bench::{print_header, trials};
 use ssr_core::LooseLeaderElection;
-use ssr_engine::observer::NullObserver;
 use ssr_engine::rng::Xoshiro256;
-use ssr_engine::{init, CountSimulation, Protocol, Simulation, State};
+use ssr_engine::{init, CountSimulation, Engine, Protocol, Simulation, State};
 
 /// Parallel time until the population first has exactly one leader.
 fn convergence_time(p: &LooseLeaderElection, start: Vec<State>, seed: u64, cap: u64) -> f64 {
@@ -33,7 +32,7 @@ fn convergence_time(p: &LooseLeaderElection, start: Vec<State>, seed: u64, cap: 
             return sim.parallel_time();
         }
         assert!(sim.interactions() < cap, "no convergence within cap");
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
     }
 }
 
@@ -46,7 +45,7 @@ fn count_drive(
     seed: u64,
     batching: bool,
     threads: usize,
-) -> (f64, u64, u64) {
+) -> (f64, u64, u128) {
     let n = p.population_size();
     let mut sim = CountSimulation::new(p, vec![0; n], seed)
         .unwrap()
@@ -54,14 +53,14 @@ fn count_drive(
         .with_threads(threads);
     let start = Instant::now();
     let mut quanta = 0u64;
-    while sim.interactions() < budget {
-        if sim.advance_chain().is_none() {
+    while sim.interactions_wide() < u128::from(budget) {
+        if sim.advance().is_none() {
             break;
         }
         quanta += 1;
     }
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    (ms, quanta, sim.interactions())
+    (ms, quanta, sim.interactions_wide())
 }
 
 /// Parallel time from a converged configuration (one leader, all timers
@@ -73,7 +72,7 @@ fn holding_time(p: &LooseLeaderElection, seed: u64, budget: u64) -> Option<f64> 
     start[0] = p.leader_state();
     let mut sim = Simulation::new(p, start, seed).unwrap();
     while sim.interactions() < budget {
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
         if p.leader_count(sim.counts()) != 1 {
             return Some(sim.parallel_time());
         }

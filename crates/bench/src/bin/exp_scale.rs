@@ -15,7 +15,7 @@
 //! `4n`-byte counts — the printed per-component memory model breaks this
 //! down per grid top.
 //!
-//! The smallest grid point is cross-checked against the exact jump engine;
+//! The smallest grid point is cross-checked against the exact jump chain;
 //! both the raw exponent (should hover just above 1) and the log-corrected
 //! model `T ≈ c·n·log n` are fitted, and wall-clock, productive
 //! interactions and peak RSS are recorded per decade so regressions in
@@ -170,7 +170,7 @@ fn main() {
         );
     }
 
-    // Cross-check: on the smallest grid point the jump and count engines
+    // Cross-check: on the smallest grid point the exact and batched kinds
     // must report statistically indistinguishable medians.
     {
         let n = ns[0] as usize;

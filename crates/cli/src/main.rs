@@ -28,8 +28,8 @@ use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanki
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    run_with_plan, EngineKind, FaultPlan, Init, InteractionSchema, JumpSimulation, Protocol,
-    Scenario, State,
+    run_with_plan, CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema,
+    Protocol, Scenario, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 
@@ -71,12 +71,8 @@ fn make_start(
 }
 
 /// Engine selection: `--engine auto|naive|jump|count` (default `auto` —
-/// count at large `n`, jump below), with the legacy `--naive <anything>`
-/// flag kept as an alias for `--engine naive`.
+/// batched count at large `n`, the exact chain below).
 fn engine_kind(a: &Args) -> Result<EngineKind, String> {
-    if a.has("naive") {
-        return Ok(EngineKind::Naive);
-    }
     EngineKind::parse(&a.str_or("engine", "auto"))
 }
 
@@ -151,7 +147,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         p.name(),
         p.num_states(),
         p.num_extra_states(),
-        sim.engine_name()
+        kind.resolve(n)
     );
     if let Some(plan) = plan {
         if plan.may_never_silence() && max == u64::MAX {
@@ -167,7 +163,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         if outcome.silent {
             println!(
                 "silent after {} interactions (parallel time {:.1}); {} productive",
-                outcome.report.interactions,
+                outcome.report.interactions_wide,
                 outcome.report.parallel_time,
                 outcome.report.productive_interactions
             );
@@ -175,7 +171,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             println!(
                 "cap reached after {} interactions without lasting silence \
                  (parallel time {:.1}); {} productive",
-                outcome.report.interactions,
+                outcome.report.interactions_wide,
                 outcome.report.parallel_time,
                 outcome.report.productive_interactions
             );
@@ -211,7 +207,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let report = sim.run_until_silent(max).map_err(|e| e.to_string())?;
     println!(
         "silent after {} interactions (parallel time {:.1}); {} productive",
-        report.interactions, report.parallel_time, report.productive_interactions
+        report.interactions_wide, report.parallel_time, report.productive_interactions
     );
     Ok(())
 }
@@ -285,9 +281,10 @@ fn cmd_exact(a: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let times: Vec<f64> = (0..trials)
         .map(|t| {
-            let mut sim = JumpSimulation::new(p.as_ref(), start.clone(), 50_000 + t)
-                .expect("valid start");
-            sim.run_until_silent(u64::MAX).expect("stable").interactions as f64
+            let mut sim = CountSimulation::new(p.as_ref(), start.clone(), 50_000 + t)
+                .expect("valid start")
+                .with_batching(false);
+            sim.run_until_silent(u64::MAX).expect("stable").interactions_wide as f64
         })
         .collect();
     let s = Summary::of(&times);
@@ -532,8 +529,11 @@ commands:
          [--fault-burst t:f[,t:f...]] [--fault-rate R]
          [--churn R] [--byzantine K]
                                                simulate one run to silence
-                                               (auto: count at n ≥ 4096,
-                                               jump below; count batches in
+                                               (jump: the exact chain;
+                                               count: batches far from
+                                               silence; auto: count at
+                                               n ≥ 4096, jump below; count
+                                               batches in
                                                parallel over T threads and
                                                scales to n = 10⁹; results
                                                are seed-deterministic
@@ -651,15 +651,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_parses_all_kinds_and_legacy_alias() {
+    fn engine_flag_parses_all_kinds() {
         let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         for kind in ["auto", "naive", "jump", "count"] {
             let a = args(&["run", "--engine", kind]);
             assert_eq!(engine_kind(&a).unwrap().name(), kind);
         }
         assert_eq!(engine_kind(&args(&["run"])).unwrap(), EngineKind::Auto);
-        let legacy = args(&["run", "--naive", "true"]);
-        assert_eq!(engine_kind(&legacy).unwrap(), EngineKind::Naive);
         assert!(engine_kind(&args(&["run", "--engine", "warp"])).is_err());
     }
 

@@ -24,6 +24,7 @@
 //! # }
 //! ```
 
+use ssr_engine::engine::Engine;
 use ssr_engine::error::StabilisationTimeout;
 use ssr_engine::protocol::{Protocol, State};
 use ssr_engine::sim::{Simulation, StabilisationReport};
@@ -120,7 +121,7 @@ mod tests {
         let p = GenericRanking::new(12);
         let out = elect_leader(&p, vec![3; 12], 5, u64::MAX).unwrap();
         assert!(out.leader < 12);
-        assert!(out.report.interactions > 0);
+        assert!(out.report.interactions_wide > 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! All five implement [`ssr_engine::Protocol`] and declare their
 //! productive classes through [`ssr_engine::InteractionSchema`], so every
-//! engine (naive, exact jump chain, batched count) applies; the four
+//! engine kind (naive, exact jump chain, batched count) applies; the four
 //! ranking protocols additionally uphold the *ranking contract*: silent ⇔
 //! every agent in a distinct rank state ([`loose`] goes through the
 //! schema's sparse-pair escape hatch and is never silent). [`trap`] provides the shared agent-trap machinery
@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{init, JumpSimulation, Protocol};
+//! use ssr_engine::{init, CountSimulation, Engine, Protocol};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@
 //! let protocol = TreeRanking::new(n);
 //! let mut rng = Xoshiro256::seed_from_u64(1);
 //! let start = init::uniform_random(n, protocol.num_states(), &mut rng);
-//! let mut sim = JumpSimulation::new(&protocol, start, 2)?;
+//! let mut sim = CountSimulation::new(&protocol, start, 2)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //! println!("self-stabilised in parallel time {:.1}", report.parallel_time);
 //! # Ok(())

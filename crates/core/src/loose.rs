@@ -39,7 +39,6 @@
 //! ```
 //! use ssr_core::loose::LooseLeaderElection;
 //! use ssr_engine::{Protocol, Simulation};
-//! use ssr_engine::observer::NullObserver;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 64;
@@ -47,7 +46,7 @@
 //! // Adversarial start: everyone believes they are the leader.
 //! let start = vec![p.leader_state(); n];
 //! let mut sim = Simulation::new(&p, start, 7)?;
-//! sim.run_for(200 * n as u64, &mut NullObserver);
+//! sim.run_for(200 * n as u64);
 //! assert_eq!(p.leader_count(sim.counts()), 1);
 //! # Ok(())
 //! # }
@@ -179,7 +178,7 @@ impl InteractionSchema for LooseLeaderElection {
     /// interact), so beyond the diagonal — every same-state meeting is
     /// productive, an equal-rank class — the off-diagonal rules go through
     /// the sparse-pair escape hatch: `O(τ²)` enumerated pairs with
-    /// `τ = O(log n)`. This is what lets the jump and count engines drive
+    /// `τ = O(log n)`. This is what lets the count engine drive
     /// a protocol the three structured classes cannot express.
     fn interaction_classes(&self) -> Vec<ClassSpec> {
         let mut classes = vec![ClassSpec::equal_rank()];
@@ -198,7 +197,6 @@ impl InteractionSchema for LooseLeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_engine::observer::NullObserver;
     use ssr_engine::rng::Xoshiro256;
     use ssr_engine::Simulation;
 
@@ -211,37 +209,39 @@ mod tests {
     }
 
     #[test]
-    fn jump_engine_drives_loose_protocol_to_a_unique_leader() {
+    fn exact_chain_drives_loose_protocol_to_a_unique_leader() {
         // The schema (equal-rank + sparse pairs) lets the null-skipping
-        // engines run a never-silent protocol: advance a productive-step
+        // engine run a never-silent protocol: advance a productive-step
         // budget and check convergence, as the naive tests do with raw
         // interactions.
-        use ssr_engine::JumpSimulation;
+        use ssr_engine::{CountSimulation, Engine};
         let n = 50;
         let p = LooseLeaderElection::new(n);
-        let mut sim = JumpSimulation::new(&p, vec![p.leader_state(); n], 23).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![p.leader_state(); n], 23)
+            .unwrap()
+            .with_batching(false);
         for _ in 0..200 * n {
-            sim.step_productive();
+            sim.advance();
         }
         assert_eq!(p.leader_count(sim.counts()), 1, "duels must leave one leader");
     }
 
     #[test]
     fn count_engine_agrees_with_naive_on_leader_convergence() {
-        use ssr_engine::CountSimulation;
+        use ssr_engine::{CountSimulation, Engine};
         let n = 60;
         let p = LooseLeaderElection::new(n);
         let mut sim = CountSimulation::new(&p, vec![p.timer_max(); n], 29).unwrap();
         let mut productive = 0u64;
         while productive < 4_000 * n as u64 {
-            productive += sim.advance_chain().expect("loose protocols never go silent");
+            productive += sim.advance().expect("loose protocols never go silent");
         }
         assert_eq!(p.leader_count(sim.counts()), 1);
     }
 
     fn run_for(p: &LooseLeaderElection, start: Vec<State>, seed: u64, budget: u64) -> Vec<u32> {
         let mut sim = Simulation::new(p, start, seed).unwrap();
-        sim.run_for(budget, &mut NullObserver);
+        sim.run_for(budget);
         sim.counts().to_vec()
     }
 
@@ -347,7 +347,7 @@ mod tests {
         start[0] = p.leader_state();
         let mut sim = Simulation::new(&p, start, 17).unwrap();
         for _ in 0..200 {
-            sim.run_for(50 * n as u64, &mut NullObserver);
+            sim.run_for(50 * n as u64);
             assert_eq!(p.leader_count(sim.counts()), 1, "leader lost");
         }
     }
@@ -357,7 +357,7 @@ mod tests {
         let n = 30;
         let p = LooseLeaderElection::new(n);
         let mut sim = Simulation::new(&p, vec![0; n], 19).unwrap();
-        sim.run_for(10_000, &mut NullObserver);
+        sim.run_for(10_000);
         assert!(!sim.is_silent(), "loose protocols churn forever");
     }
 

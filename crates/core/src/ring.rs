@@ -22,14 +22,14 @@
 //!
 //! ```
 //! use ssr_core::ring::RingOfTraps;
-//! use ssr_engine::{init, JumpSimulation};
+//! use ssr_engine::{init, CountSimulation, Engine};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = RingOfTraps::new(30);        // m = 5: 5 traps of size 6
 //! let mut rng = Xoshiro256::seed_from_u64(3);
 //! let cfg = init::k_distant(30, 4, init::DuplicatePlacement::Random, &mut rng);
-//! let mut sim = JumpSimulation::new(&p, cfg, 7)?;
+//! let mut sim = CountSimulation::new(&p, cfg, 7)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.is_silent());
 //! println!("4-distant start ranked in parallel time {:.0}", report.parallel_time);
@@ -183,10 +183,10 @@ impl InteractionSchema for RingOfTraps {
 mod tests {
     use super::*;
     use ssr_engine::init::{self, DuplicatePlacement};
-    use ssr_engine::observer::{FnObserver, TransitionEvent};
+    use ssr_engine::engine::FnCountObserver;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{JumpSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Engine, Simulation};
 
     #[test]
     fn ring_m_choices() {
@@ -247,7 +247,9 @@ mod tests {
             let p = RingOfTraps::new(n);
             for k in [0usize, 1, 3, n / 2] {
                 let cfg = init::k_distant(n, k, DuplicatePlacement::Random, &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, (n + k) as u64).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, (n + k) as u64)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(
                     sim.counts().iter().all(|&c| c == 1),
@@ -260,7 +262,7 @@ mod tests {
     #[test]
     fn stabilises_from_stacked_start() {
         let p = RingOfTraps::new(20);
-        let mut sim = JumpSimulation::new(&p, vec![0; 20], 5).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![0; 20], 5).unwrap().with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
     }
@@ -280,7 +282,7 @@ mod tests {
         let mut tidy_seen = false;
         let mut violations = Vec::new();
         {
-            let mut obs = FnObserver::new(|step, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|step, _b, _a, _m, counts: &[u32]| {
                 if !tidy_seen {
                     tidy_seen = p.is_tidy(counts);
                     if tidy_seen {
@@ -311,7 +313,7 @@ mod tests {
         let mut was_tidy = false;
         let mut broke = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_s, _b, _a, _m, counts: &[u32]| {
                 let tidy = p.is_tidy(counts);
                 if was_tidy && !tidy {
                     broke = true;
@@ -342,7 +344,7 @@ mod tests {
             .collect();
         let mut violated = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_s, _b, _a, _m, counts: &[u32]| {
                 for (s, &c) in counts.iter().enumerate() {
                     let (_, b) = chain.locate(s as u32);
                     if b == 0 {
@@ -371,7 +373,7 @@ mod tests {
         let mut was_full = vec![false; m];
         let mut violated = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_s, _b, _a, _m, counts: &[u32]| {
                 for (t, was) in was_full.iter_mut().enumerate() {
                     let full = TrapView::read(&chain, t, counts).is_full();
                     if *was && !full {
@@ -388,7 +390,7 @@ mod tests {
     #[test]
     fn final_configuration_fully_stabilises_every_trap() {
         let p = RingOfTraps::new(30);
-        let mut sim = JumpSimulation::new(&p, vec![7; 30], 2).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![7; 30], 2).unwrap().with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         for v in p.trap_views(sim.counts()) {
             assert!(v.is_fully_stabilised());
@@ -398,9 +400,11 @@ mod tests {
     #[test]
     fn zero_distant_start_is_silent_immediately() {
         let p = RingOfTraps::new(12);
-        let mut sim = JumpSimulation::new(&p, init::perfect_ranking(12), 1).unwrap();
+        let mut sim = CountSimulation::new(&p, init::perfect_ranking(12), 1)
+            .unwrap()
+            .with_batching(false);
         let rep = sim.run_until_silent(10).unwrap();
-        assert_eq!(rep.interactions, 0);
+        assert_eq!(rep.interactions_wide, 0);
     }
 }
 

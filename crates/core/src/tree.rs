@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{JumpSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Engine, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = TreeRanking::new(100);
 //! assert_eq!(p.num_extra_states(), 2 * p.buffer_half());
-//! let mut sim = JumpSimulation::new(&p, vec![0; 100], 9)?;
+//! let mut sim = CountSimulation::new(&p, vec![0; 100], 9)?.with_batching(false);
 //! sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.is_silent());
 //! # Ok(())
@@ -321,7 +321,7 @@ mod tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{JumpSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Engine, Simulation};
 
     #[test]
     fn contract_holds_various_n_and_k() {
@@ -428,7 +428,7 @@ mod tests {
             let p = TreeRanking::new(n);
             for (name, make) in &starts {
                 let cfg = make(&p);
-                let mut sim = JumpSimulation::new(&p, cfg, n as u64).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, n as u64).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(
                     sim.counts()[..n].iter().all(|&c| c == 1),
@@ -445,7 +445,7 @@ mod tests {
             let p = TreeRanking::new(n);
             for trial in 0..5 {
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.is_silent(), "n={n} trial={trial}");
             }
@@ -497,7 +497,7 @@ mod modified_tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     #[test]
     fn modified_variant_satisfies_contract() {
@@ -533,11 +533,11 @@ mod modified_tests {
             let p = TreeRanking::new(n).as_modified();
             for trial in 0..4 {
                 let cfg = init::uniform_random(n, Protocol::num_states(&p), &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 // Generous O(n log n)-parallel cap, in interactions.
-                let cap = 200 * (n as u64) * (n as u64) * (n.ilog2() as u64 + 1);
+                let cap = 200 * (n as u128) * (n as u128) * (u128::from(n.ilog2()) + 1);
                 let mut outcome = None;
-                while sim.interactions() < cap {
+                while sim.interactions_wide() < cap {
                     if sim.is_silent() {
                         outcome = Some("silent");
                         break;
@@ -546,7 +546,7 @@ mod modified_tests {
                         outcome = Some("leaf overload");
                         break;
                     }
-                    sim.step_productive();
+                    sim.advance();
                 }
                 assert!(
                     outcome.is_some(),
@@ -567,11 +567,12 @@ mod modified_tests {
         let modified = TreeRanking::new(n).as_modified();
         let mean = |p: &TreeRanking, seed0: u64| -> f64 {
             let trials = 200u64;
-            let total: u64 = (0..trials)
+            let total: u128 = (0..trials)
                 .map(|t| {
-                    let mut s =
-                        JumpSimulation::new(p, vec![0; n], seed0 + t).unwrap();
-                    s.run_until_silent(u64::MAX).unwrap().interactions
+                    let mut s = CountSimulation::new(p, vec![0; n], seed0 + t)
+                        .unwrap()
+                        .with_batching(false);
+                    s.run_until_silent(u64::MAX).unwrap().interactions_wide
                 })
                 .sum();
             total as f64 / trials as f64

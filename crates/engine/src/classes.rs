@@ -1,15 +1,13 @@
-//! Compiled interaction schema and live weight state, shared by the jump
-//! and count engines.
+//! Compiled interaction schema and live weight state of the count engine.
 //!
 //! A protocol's declarative [`InteractionSchema`] is compiled once per
 //! engine construction into a [`CompiledSchema`] (flags, the equal-rank
 //! membership bitset, the sparse-pair index), and the engine keeps one
 //! [`ClassState`]: the occupancy counts plus every per-class weight
-//! structure, updated incrementally on each count change. Both engines
+//! structure, updated incrementally on each count change. Exact steps
 //! sample the next productive ordered state pair through
-//! [`ClassState::sample_pair`] with the same single-RNG-draw discipline, so
-//! "jump and count are trace-identical per seed" is structural rather than
-//! a convention two copies must uphold by hand.
+//! [`ClassState::sample_pair`] with a single-RNG-draw discipline; batches
+//! split the same weight structures.
 //!
 //! The class weight decomposition over occupancy counts `c_s` (with `R`/`E`
 //! the number of agents in rank/extra states):
@@ -1081,7 +1079,7 @@ pub(crate) struct ClassState {
     /// Upper bound on the occupancy of any rank state with an equal-rank
     /// rule; grows eagerly on updates, shrinks only on
     /// [`refresh_max_eq`](Self::refresh_max_eq). Drives the count engine's
-    /// equal-rank batch cap; harmless bookkeeping for the jump engine.
+    /// equal-rank batch cap; harmless bookkeeping with batching off.
     pub max_eq_bound: u64,
 }
 

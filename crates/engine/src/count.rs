@@ -6,14 +6,15 @@
 //! determined by the per-state occupancy vector. [`CountSimulation`]
 //! exploits this twice:
 //!
-//! 1. **Exact mode** — the same embedded jump chain as
-//!    [`JumpSimulation`](crate::jump::JumpSimulation): sample a productive
-//!    ordered state pair proportionally to its weight, apply the rewrite to
-//!    the counts, and account for the skipped null interactions with a
-//!    geometric draw. Given the same seed, the exact mode consumes the RNG
-//!    draw-for-draw identically to the jump simulator and therefore walks
-//!    the *identical* trajectory (the cross-engine test suite asserts
-//!    this).
+//! 1. **Exact mode** — the embedded jump chain of productive interactions
+//!    (Gillespie-style null skipping): sample a productive ordered state
+//!    pair proportionally to its weight, apply the rewrite to the counts,
+//!    and account for the skipped null interactions with a geometric
+//!    draw. This is *exactly* the naive simulator's process, orders of
+//!    magnitude faster near silence where the productive probability drops
+//!    to `Θ(1/n²)`. With batching off ([`CountSimulation::with_batching`],
+//!    [`EngineKind::Jump`](crate::engine::EngineKind::Jump)) every step is
+//!    exact.
 //! 2. **Batch mode** — far from silence, consecutive productive steps are
 //!    *statistically exchangeable*: with the class weights frozen, a batch
 //!    of `B` steps splits multinomially first across the declared
@@ -41,7 +42,7 @@
 //!    All `B` null gaps are accounted at once with a single
 //!    negative-binomial draw. Weights are frozen for the duration of one
 //!    batch; the batch size is capped so no class weight can drift by more
-//!    than ~25% within a batch (see [`CountSimulation::advance_chain`]),
+//!    than ~25% within a batch (see `CountSimulation::batch_size`),
 //!    which keeps the stabilisation-time distribution statistically
 //!    indistinguishable from the exact chain (KS-tested in
 //!    `tests/cross_simulator.rs`). For the sparse class the cap is
@@ -59,7 +60,9 @@
 //! exchangeable and the safe batch size is large enough to pay for the
 //! split overhead; otherwise the engine falls back to exact stepping for
 //! that step. Correctness near silence is therefore always the exact jump
-//! chain.
+//! chain. Both modes live in one quantum,
+//! [`Engine::advance_to`](crate::engine::Engine::advance_to); the run loops
+//! are the trait's provided methods.
 //!
 //! ## Parallel per-class splits on a persistent worker pool
 //!
@@ -90,6 +93,7 @@
 //!
 //! ```
 //! use ssr_engine::count::CountSimulation;
+//! use ssr_engine::engine::Engine;
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
 //!
 //! struct Ag { n: usize }
@@ -121,12 +125,11 @@
 //! [`InteractionSchema`]: crate::protocol::InteractionSchema
 
 use crate::classes::{chain_split, ClassState};
-use crate::engine::{ByzOverlay, CappedAdvance, CountObserver};
-use crate::error::{ConfigError, StabilisationTimeout};
+use crate::engine::{ByzOverlay, CappedAdvance, CountControl, CountObserver, Engine, EngineSnapshot};
+use crate::error::ConfigError;
 use crate::init;
 use crate::protocol::{CrossDirection, InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
-use crate::sim::StabilisationReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -653,10 +656,9 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         })
     }
 
-    /// Enable or disable batch mode. With batching off the engine consumes
-    /// its RNG draw-for-draw identically to
-    /// [`JumpSimulation`](crate::jump::JumpSimulation) and reproduces the
-    /// exact same trajectory per seed.
+    /// Enable or disable batch mode. With batching off every quantum is
+    /// one exact productive interaction — the exact jump chain
+    /// ([`EngineKind::Jump`](crate::engine::EngineKind::Jump)).
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
@@ -698,75 +700,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         self.threads
     }
 
-    /// Current per-state occupancy counts.
-    pub fn counts(&self) -> &[u32] {
-        &self.state.counts
-    }
-
-    /// Total interactions simulated (nulls included, exact in
-    /// distribution), saturating at `u64::MAX`. The internal clock is
-    /// `u128` (see [`interactions_wide`](Self::interactions_wide)):
-    /// beyond `n ≈ 2³¹` a full run exceeds `u64::MAX` total interactions.
-    pub fn interactions(&self) -> u64 {
-        // lint:allow(A001): documented saturating u64 API boundary —
-        // the exact clock is `interactions_wide()`.
-        self.interactions.min(u64::MAX as u128) as u64
-    }
-
-    /// Total interactions simulated, full-width.
-    pub fn interactions_wide(&self) -> u128 {
-        self.interactions
-    }
-
-    /// Productive interactions executed.
-    pub fn productive_interactions(&self) -> u64 {
-        self.productive
-    }
-
-    /// Parallel time elapsed: interactions / n (computed from the
-    /// full-width clock, so it stays exact past `u64::MAX` interactions).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.protocol.population_size() as f64
-    }
-
     /// Number of productive ordered pairs in the current configuration.
     pub fn productive_pairs(&self) -> u64 {
         self.state.productive_pairs()
     }
 
-    /// Silent iff no ordered pair is productive.
-    pub fn is_silent(&self) -> bool {
-        self.productive_pairs() == 0
-    }
-
-    /// Execute one productive interaction (plus the geometric number of
-    /// preceding nulls), exactly as the jump simulator would — the
-    /// sampling logic is literally shared
-    /// ([`ClassState::sample_pair`](crate::classes::ClassState)), so
-    /// identical RNG consumption and identical trajectories per seed are
-    /// structural. Returns the ordered state pair rewritten, or `None` if
-    /// the configuration is silent.
-    pub fn step_productive(&mut self) -> Option<((State, State), (State, State))> {
-        let w = self.state.productive_pairs();
-        if w == 0 {
-            return None;
-        }
-        debug_assert!(w as u128 <= self.ordered_pairs);
-        let p = w as f64 / self.ordered_pairs as f64;
-        // Near silence at n ≥ 2³¹ the geometric mean n(n−1)/w exceeds
-        // u64::MAX, so the draw and the +1 must both happen at u128 width.
-        self.interactions = self
-            .interactions
-            .saturating_add(self.rng.geometric_wide(p))
-            .saturating_add(1);
-        self.productive += 1;
-        Some(self.sample_and_apply())
-    }
-
     /// Sample the productive pair for an already-scheduled chain event,
     /// apply the transition (subject to Byzantine vetoes) and return the
-    /// rewrite. Mirrors the jump engine's helper draw-for-draw so the two
-    /// engines stay trace-identical in exact mode.
+    /// rewrite.
     fn sample_and_apply(&mut self) -> ((State, State), (State, State)) {
         let (si, sr) = self.state.sample_pair(&mut self.rng);
         let (mut si2, mut sr2) = self.protocol.transition(si, sr).unwrap_or_else(|| {
@@ -916,32 +857,16 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         None
     }
 
-    /// Decide the next quantum: `Some(b)` = batch of `b`, `None` = one
-    /// exact step. Shared by the observed and unobserved run loops so
-    /// both consume the RNG identically for a given seed.
-    fn decide_batch(&mut self) -> Option<u64> {
-        if !self.batching {
-            return None;
-        }
-        if self.exact_steps_until_recheck == 0 {
-            if let Some(b) = self.batch_size() {
-                return Some(b);
-            }
-            self.exact_steps_until_recheck = EXACT_RECHECK_INTERVAL;
-        }
-        self.exact_steps_until_recheck -= 1;
-        None
-    }
-
-    /// [`decide_batch`](Self::decide_batch) with an absolute clock cap:
-    /// the safe batch size is additionally clipped so the batch's expected
-    /// clock drift stays well inside the cap (a scheduled fault must not
-    /// be overrun by a whole batch). Near the cap the clipped size drops
-    /// below [`MIN_BATCH`] and the engine exact-steps the final approach,
-    /// where truncation at the cap is exact by memorylessness. A capped
-    /// run's recheck-counter evolution can differ from an uncapped run's —
-    /// it is still deterministic per seed and thread-count invariant.
-    fn decide_batch_capped(&mut self, cap: u128) -> Option<u64> {
+    /// Decide the next quantum under an absolute clock cap: `Some(b)` =
+    /// batch of `b`, `None` = one exact step. The safe batch size is
+    /// additionally clipped so the batch's expected clock drift stays well
+    /// inside the cap (a scheduled fault must not be overrun by a whole
+    /// batch). Near the cap the clipped size drops below [`MIN_BATCH`] and
+    /// the engine exact-steps the final approach, where truncation at the
+    /// cap is exact by memorylessness. A capped run's recheck-counter
+    /// evolution can differ from an uncapped run's — it is still
+    /// deterministic per seed and thread-count invariant.
+    fn decide_batch(&mut self, cap: u128) -> Option<u64> {
         if !self.batching {
             return None;
         }
@@ -1267,132 +1192,92 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         applied_total
     }
 
-    /// Advance the chain by one quantum: a whole batch when the
-    /// configuration is far from silence, one exact productive interaction
-    /// otherwise. Returns the number of productive interactions applied,
-    /// or `None` if silent.
-    pub fn advance_chain(&mut self) -> Option<u64> {
-        match self.decide_batch() {
-            Some(b) => Some(self.step_batch(b)),
-            None => self.step_productive().map(|_| 1),
-        }
+    /// Consume the simulation and return the final occupancy counts.
+    pub fn into_counts(self) -> Vec<u32> {
+        self.state.counts
+    }
+}
+
+impl<P: InteractionSchema + ?Sized> Engine for CountSimulation<'_, P> {
+    fn population_size(&self) -> usize {
+        self.protocol.population_size()
     }
 
-    /// Run until silent or until more than `max_interactions` have
-    /// elapsed. Semantics match the jump simulator. `u64::MAX` means
-    /// *unbounded* (the internal clock is `u128` and can legitimately
-    /// pass `u64::MAX` at `n ≥ 2³¹`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    pub fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        let cap = if max_interactions == u64::MAX {
-            u128::MAX
-        } else {
-            max_interactions as u128
-        };
-        loop {
-            if self.is_silent() {
-                if self.interactions <= cap {
-                    return Ok(StabilisationReport {
-                        interactions: self.interactions(),
-                        interactions_wide: self.interactions,
-                        productive_interactions: self.productive,
-                        parallel_time: self.parallel_time(),
-                    });
-                }
-                return Err(StabilisationTimeout {
-                    interactions: max_interactions,
-                });
-            }
-            if self.interactions >= cap {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions(),
-                });
-            }
-            self.advance_chain();
-        }
+    fn counts(&self) -> &[u32] {
+        &self.state.counts
     }
 
-    /// Like [`run_until_silent`](Self::run_until_silent), reporting every
-    /// productive rewrite to `observer`. Batched steps coalesce identical
-    /// rewrites into one call with their multiplicity; all groups of one
-    /// batch are reported with the same post-batch counts and clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    pub fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        let cap = if max_interactions == u64::MAX {
-            u128::MAX
-        } else {
-            max_interactions as u128
-        };
-        loop {
-            if self.is_silent() {
-                if self.interactions <= cap {
-                    return Ok(StabilisationReport {
-                        interactions: self.interactions(),
-                        interactions_wide: self.interactions,
-                        productive_interactions: self.productive,
-                        parallel_time: self.parallel_time(),
-                    });
-                }
-                return Err(StabilisationTimeout {
-                    interactions: max_interactions,
-                });
-            }
-            if self.interactions >= cap {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions(),
-                });
-            }
-            match self.decide_batch() {
-                Some(b) => {
-                    self.step_batch(b);
-                    let groups = std::mem::take(&mut self.group_scratch);
-                    for g in &groups {
-                        observer.on_productive(
-                            self.interactions(),
-                            g.before,
-                            g.after,
-                            g.applied,
-                            &self.state.counts,
-                        );
-                    }
-                    self.group_scratch = groups;
-                }
-                None => {
-                    if let Some((before, after)) = self.step_productive() {
-                        observer.on_productive(
-                            self.interactions(),
-                            before,
-                            after,
-                            1,
-                            &self.state.counts,
-                        );
-                    }
-                }
-            }
-        }
+    fn interactions_wide(&self) -> u128 {
+        self.interactions
     }
 
-    /// Move one agent from state `from` to state `to` (transient-fault
-    /// injection). All sampling weights are kept consistent; the
-    /// interaction clock is not advanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is unoccupied or either state id is out of range.
-    pub fn inject_fault(&mut self, from: State, to: State) {
+    fn productive_interactions(&self) -> u64 {
+        self.productive
+    }
+
+    fn is_silent(&self) -> bool {
+        self.state.productive_pairs() == 0
+    }
+
+    /// One batch far from silence (`Applied(k)`), one exact productive
+    /// interaction plus its skipped nulls otherwise (`Applied(1)`).
+    /// Inlined into the provided methods so the unobserved paths see the
+    /// concrete no-op observer and drop its call.
+    #[inline]
+    fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
+        let w = self.state.productive_pairs();
+        if w == 0 {
+            return CappedAdvance::Silent;
+        }
+        if self.interactions >= cap {
+            return CappedAdvance::CapReached;
+        }
+        if let Some(b) = self.decide_batch(cap) {
+            let applied = self.step_batch(b);
+            for g in &self.group_scratch {
+                observer.on_productive(
+                    self.interactions,
+                    g.before,
+                    g.after,
+                    g.applied,
+                    &self.state.counts,
+                );
+            }
+            return CappedAdvance::Applied(applied);
+        }
+        debug_assert!(w as u128 <= self.ordered_pairs);
+        let p = w as f64 / self.ordered_pairs as f64;
+        // Near silence at n ≥ 2³¹ the geometric mean n(n−1)/w exceeds
+        // u64::MAX, so the draw and the +1 must both happen at u128 width.
+        let gap = self.rng.geometric_wide(p);
+        let next = self.interactions.saturating_add(gap).saturating_add(1);
+        if next > cap {
+            // Exact truncation: by memorylessness the time to the next
+            // productive interaction, measured from the cap, is again
+            // geometric under whatever weights then hold.
+            self.interactions = cap;
+            return CappedAdvance::CapReached;
+        }
+        self.interactions = next;
+        self.productive += 1;
+        let (before, after) = self.sample_and_apply();
+        observer.on_productive(self.interactions, before, after, 1, &self.state.counts);
+        CappedAdvance::Applied(1)
+    }
+
+    fn set_byzantine(&mut self, byz: &[u32]) {
+        self.byz = ByzOverlay::build(byz, &self.state.counts);
+    }
+
+    fn num_rank_states(&self) -> usize {
+        self.state.num_ranks
+    }
+
+    fn skip_nulls(&mut self, nulls: u128) {
+        self.interactions = self.interactions.saturating_add(nulls);
+    }
+
+    fn inject_state_fault(&mut self, from: State, to: State) {
         assert!(
             (from as usize) < self.state.counts.len()
                 && (to as usize) < self.state.counts.len(),
@@ -1413,179 +1298,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         self.state.update_count(to, 1);
     }
 
-    /// Consume the simulation and return the final occupancy counts.
-    pub fn into_counts(self) -> Vec<u32> {
-        self.state.counts
-    }
-
-    pub(crate) fn rng_clone(&self) -> Xoshiro256 {
-        self.rng.clone()
-    }
-
-    pub(crate) fn restore_parts(
-        &mut self,
-        counts: &[u32],
-        interactions: u128,
-        productive: u64,
-        rng: Xoshiro256,
-        ctl: Option<crate::engine::CountControl>,
-    ) {
-        let batching = self.batching;
-        let threads = self.threads;
-        let mut fresh = CountSimulation::from_counts(self.protocol, counts.to_vec(), 0)
-            .expect("snapshot counts do not match this protocol");
-        fresh.interactions = interactions;
-        fresh.productive = productive;
-        fresh.rng = rng;
-        fresh.batching = batching;
-        fresh.threads = threads;
-        // The persistent pool survives restores — workers are stateless
-        // between batches, so handing the existing pool to the restored
-        // engine is free and avoids a re-spawn. The Byzantine overlay is
-        // an engine-level property, not part of the captured
-        // configuration: it survives too.
-        fresh.pool = self.pool.take();
-        fresh.byz = self.byz.take();
-        // Batch decisions depend on this control state; restoring it makes
-        // a same-engine restore replay the original trajectory exactly.
-        // Cross-engine snapshots carry none — the canonical state computed
-        // by `from_counts` is used instead.
-        if let Some(ctl) = ctl {
-            fresh.state.max_eq_bound = ctl.max_eq_count;
-            fresh.state.sparse.max_partner_bound = ctl.max_sparse_partner;
-            fresh.state.sparse.max_pair_scale_bound = ctl.max_sparse_pair_scale;
-            fresh.batches_since_refresh = ctl.batches_since_refresh;
-            fresh.exact_steps_until_recheck = ctl.exact_steps_until_recheck;
-        }
-        *self = fresh;
-    }
-}
-
-impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_, P> {
-    fn engine_name(&self) -> &'static str {
-        "count"
-    }
-
-    fn population_size(&self) -> usize {
-        self.protocol.population_size()
-    }
-
-    fn counts(&self) -> &[u32] {
-        &self.state.counts
-    }
-
-    fn interactions(&self) -> u64 {
-        CountSimulation::interactions(self)
-    }
-
-    fn interactions_wide(&self) -> u128 {
-        self.interactions
-    }
-
-    fn productive_interactions(&self) -> u64 {
-        self.productive
-    }
-
-    fn is_silent(&self) -> bool {
-        CountSimulation::is_silent(self)
-    }
-
-    /// One batch far from silence (`Some(k)`), one exact productive
-    /// interaction otherwise (`Some(1)`), `None` when silent.
-    fn advance(&mut self) -> Option<u64> {
-        self.advance_chain()
-    }
-
-    fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        CountSimulation::run_until_silent(self, max_interactions)
-    }
-
-    fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        CountSimulation::run_until_silent_observed(self, max_interactions, observer)
-    }
-
-    fn advance_to(
-        &mut self,
-        cap: u128,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> CappedAdvance {
-        let w = self.state.productive_pairs();
-        if w == 0 {
-            return CappedAdvance::Silent;
-        }
-        if self.interactions >= cap {
-            return CappedAdvance::CapReached;
-        }
-        match self.decide_batch_capped(cap) {
-            Some(b) => {
-                let applied = self.step_batch(b);
-                let groups = std::mem::take(&mut self.group_scratch);
-                for g in &groups {
-                    observer.on_productive(
-                        self.interactions(),
-                        g.before,
-                        g.after,
-                        g.applied,
-                        &self.state.counts,
-                    );
-                }
-                self.group_scratch = groups;
-                CappedAdvance::Applied(applied)
-            }
-            None => {
-                debug_assert!(w as u128 <= self.ordered_pairs);
-                let p = w as f64 / self.ordered_pairs as f64;
-                let gap = self.rng.geometric_wide(p);
-                let next = self
-                    .interactions
-                    .saturating_add(gap)
-                    .saturating_add(1);
-                if next > cap {
-                    // Exact truncation by memorylessness — mirrors the
-                    // jump engine.
-                    self.interactions = cap;
-                    return CappedAdvance::CapReached;
-                }
-                self.interactions = next;
-                self.productive += 1;
-                let (before, after) = self.sample_and_apply();
-                observer.on_productive(self.interactions(), before, after, 1, &self.state.counts);
-                CappedAdvance::Applied(1)
-            }
-        }
-    }
-
-    fn set_byzantine(&mut self, byz: &[u32]) {
-        self.byz = ByzOverlay::build(byz, &self.state.counts);
-    }
-
-    fn num_rank_states(&self) -> usize {
-        self.state.num_ranks
-    }
-
-    fn skip_nulls(&mut self, nulls: u128) {
-        self.interactions = self.interactions.saturating_add(nulls);
-    }
-
-    fn inject_state_fault(&mut self, from: State, to: State) {
-        CountSimulation::inject_fault(self, from, to);
-    }
-
-    fn snapshot(&self) -> crate::engine::EngineSnapshot {
-        crate::engine::EngineSnapshot {
+    fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot {
             agents: None,
             counts: self.state.counts.clone(),
             interactions: self.interactions,
             productive: self.productive,
-            rng: self.rng_clone(),
-            count_ctl: Some(crate::engine::CountControl {
+            rng: self.rng.clone(),
+            count_ctl: Some(CountControl {
                 max_eq_count: self.state.max_eq_bound,
                 max_sparse_partner: self.state.sparse.max_partner_bound,
                 max_sparse_pair_scale: self.state.sparse.max_pair_scale_bound,
@@ -1595,14 +1315,35 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
         }
     }
 
-    fn restore(&mut self, snapshot: &crate::engine::EngineSnapshot) {
-        self.restore_parts(
-            &snapshot.counts,
-            snapshot.interactions,
-            snapshot.productive,
-            snapshot.rng.clone(),
-            snapshot.count_ctl,
-        );
+    fn restore(&mut self, snapshot: &EngineSnapshot) {
+        let mut fresh = CountSimulation::from_counts(self.protocol, snapshot.counts.clone(), 0)
+            .expect("snapshot counts do not match this protocol");
+        fresh.interactions = snapshot.interactions;
+        fresh.productive = snapshot.productive;
+        fresh.rng = snapshot.rng.clone();
+        fresh.batching = self.batching;
+        fresh.threads = self.threads;
+        // The persistent pool survives restores — workers are stateless
+        // between batches, so handing the existing pool to the restored
+        // engine is free and avoids a re-spawn. The Byzantine overlay is
+        // an engine-level property, not part of the captured
+        // configuration: it survives too.
+        fresh.pool = self.pool.take();
+        fresh.byz = self.byz.take();
+        // Batch decisions depend on this control state; restoring it makes
+        // a same-engine restore replay the original trajectory exactly.
+        // Snapshots without it (naive-engine snapshots, and exact-chain
+        // snapshots written before the jump kind became count-exact) get
+        // the canonical state computed by `from_counts` — which batching
+        // off never reads.
+        if let Some(ctl) = snapshot.count_ctl {
+            fresh.state.max_eq_bound = ctl.max_eq_count;
+            fresh.state.sparse.max_partner_bound = ctl.max_sparse_partner;
+            fresh.state.sparse.max_pair_scale_bound = ctl.max_sparse_pair_scale;
+            fresh.batches_since_refresh = ctl.batches_since_refresh;
+            fresh.exact_steps_until_recheck = ctl.exact_steps_until_recheck;
+        }
+        *self = fresh;
     }
 }
 
@@ -1622,7 +1363,6 @@ impl<P: InteractionSchema + ?Sized> std::fmt::Debug for CountSimulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jump::JumpSimulation;
     use crate::protocol::{ClassSpec, Protocol};
 
     struct Ag {
@@ -1656,50 +1396,28 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_is_trace_identical_to_jump() {
-        let p = Ag { n: 200 };
-        let mut jump = JumpSimulation::new(&p, vec![0; 200], 77).unwrap();
-        let mut count =
-            CountSimulation::new(&p, vec![0; 200], 77).unwrap().with_batching(false);
-        loop {
-            let j = jump.step_productive();
-            let c = count.step_productive();
-            assert_eq!(j, c);
-            assert_eq!(jump.interactions(), count.interactions());
-            assert_eq!(jump.counts(), count.counts());
-            if j.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn batched_run_reaches_perfect_ranking() {
         let p = Ag { n: 4096 };
         let mut sim = CountSimulation::new(&p, vec![0; 4096], 5).unwrap();
         let rep = sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
         assert!(rep.productive_interactions >= 4095);
-        assert!(rep.interactions >= rep.productive_interactions);
+        assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
     }
 
     #[test]
     fn wide_clock_survives_snapshot_roundtrip() {
-        use crate::engine::Engine;
         let p = Ag { n: 8 };
         let mut sim = CountSimulation::new(&p, vec![0; 8], 9).unwrap();
-        sim.step_productive();
-        let mut snap = Engine::snapshot(&sim);
+        sim.advance();
+        let mut snap = sim.snapshot();
         let wide = u64::MAX as u128 + 12_345;
         snap.interactions = wide;
-        Engine::restore(&mut sim, &snap);
+        sim.restore(&snap);
         assert_eq!(sim.interactions_wide(), wide);
-        assert_eq!(CountSimulation::interactions(&sim), u64::MAX);
         // Snapshot and advance keep the full-width clock exact.
-        let snap2 = Engine::snapshot(&sim);
-        assert_eq!(snap2.interactions_wide(), wide);
-        assert_eq!(snap2.interactions(), u64::MAX);
-        sim.step_productive();
+        assert_eq!(sim.snapshot().interactions_wide(), wide);
+        sim.advance();
         assert!(sim.interactions_wide() > wide);
     }
 
@@ -1707,13 +1425,13 @@ mod tests {
     fn batching_engages_far_from_silence() {
         let p = Ag { n: 4096 };
         let mut sim = CountSimulation::new(&p, vec![0; 4096], 6).unwrap();
-        let applied = sim.advance_chain().unwrap();
+        let applied = sim.advance().unwrap();
         assert!(
             applied >= MIN_BATCH,
             "stacked start must batch, applied {applied}"
         );
         // Batched and exact stepping agree on conservation throughout.
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(sim.counts().iter().map(|&c| c as u64).sum::<u64>(), 4096);
         }
         assert!(sim.is_silent());
@@ -1732,7 +1450,7 @@ mod tests {
                     let mut s = CountSimulation::new(&p, vec![0; 256], 9000 + t)
                         .unwrap()
                         .with_batching(batching);
-                    s.run_until_silent(u64::MAX).unwrap().interactions as f64
+                    s.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
                 })
                 .sum::<f64>()
                 / trials as f64
@@ -1747,6 +1465,15 @@ mod tests {
     }
 
     #[test]
+    fn productive_pairs_counts_equal_rule_weight() {
+        let p = Ag { n: 6 };
+        // counts: 3 agents in state 0, 2 in state 1, 1 in state 2.
+        let sim = CountSimulation::from_counts(&p, vec![3, 2, 1, 0, 0, 0], 1).unwrap();
+        // 3·2 + 2·1 = 8 productive ordered pairs.
+        assert_eq!(sim.productive_pairs(), 8);
+    }
+
+    #[test]
     fn from_counts_validates_total() {
         let p = Ag { n: 4 };
         assert!(CountSimulation::from_counts(&p, vec![1, 1, 1, 0], 1).is_err());
@@ -1755,7 +1482,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_semantics_match_jump() {
+    fn timeout_reports_the_cap() {
         let p = Ag { n: 64 };
         let mut sim = CountSimulation::new(&p, vec![0; 64], 3).unwrap();
         let err = sim.run_until_silent(2).unwrap_err();
@@ -1767,7 +1494,7 @@ mod tests {
         let p = Ag { n: 32 };
         let mut sim = CountSimulation::new(&p, (0..32).collect(), 11).unwrap();
         assert!(sim.is_silent());
-        sim.inject_fault(3, 9);
+        sim.inject_state_fault(3, 9);
         assert!(!sim.is_silent());
         sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
@@ -1775,28 +1502,27 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replays_exactly_while_batching() {
-        use crate::engine::Engine;
         // n large enough that batch mode is active at snapshot time; the
         // snapshot must carry the batch-scheduling state so the restored
         // run replays the original continuation draw-for-draw.
         let p = Ag { n: 4096 };
         let mut sim = CountSimulation::new(&p, vec![0; 4096], 77).unwrap();
         for _ in 0..5 {
-            sim.advance_chain();
+            sim.advance();
         }
-        let snap = Engine::snapshot(&sim);
-        let cont: Vec<(u64, u64)> = (0..40)
+        let snap = sim.snapshot();
+        let cont: Vec<(u128, u64)> = (0..40)
             .map(|_| {
-                sim.advance_chain();
-                (sim.interactions(), sim.productive_interactions())
+                sim.advance();
+                (sim.interactions_wide(), sim.productive_interactions())
             })
             .collect();
         let counts_a = sim.counts().to_vec();
-        Engine::restore(&mut sim, &snap);
-        let replay: Vec<(u64, u64)> = (0..40)
+        sim.restore(&snap);
+        let replay: Vec<(u128, u64)> = (0..40)
             .map(|_| {
-                sim.advance_chain();
-                (sim.interactions(), sim.productive_interactions())
+                sim.advance();
+                (sim.interactions_wide(), sim.productive_interactions())
             })
             .collect();
         assert_eq!(cont, replay, "restored run must replay the original");
@@ -1815,8 +1541,7 @@ mod tests {
         let ro = observed
             .run_until_silent_observed(u64::MAX, &mut NullCountObserver)
             .unwrap();
-        assert_eq!(rp.interactions, ro.interactions);
-        assert_eq!(rp.productive_interactions, ro.productive_interactions);
+        assert_eq!(rp, ro);
         assert_eq!(plain.counts(), observed.counts());
     }
 
@@ -1829,7 +1554,7 @@ mod tests {
         let mut sim = CountSimulation::new(&p, vec![0; 8192], 3).unwrap();
         let mut batched_quanta = 0u64;
         let mut total_quanta = 0u64;
-        while let Some(applied) = sim.advance_chain() {
+        while let Some(applied) = sim.advance() {
             total_quanta += 1;
             if applied > 1 {
                 batched_quanta += 1;
@@ -1854,7 +1579,7 @@ mod tests {
         let p = Ag { n: 512 };
         let run = |seed| {
             let mut s = CountSimulation::new(&p, vec![7; 512], seed).unwrap();
-            s.run_until_silent(u64::MAX).unwrap().interactions
+            s.run_until_silent(u64::MAX).unwrap().interactions_wide
         };
         assert_eq!(run(31), run(31));
     }
@@ -1876,15 +1601,15 @@ mod tests {
             let mut s = CountSimulation::from_counts(&p, counts.clone(), 23)
                 .unwrap()
                 .with_threads(threads);
-            let first = s.advance_chain().unwrap();
+            let first = s.advance().unwrap();
             assert!(
                 first >= POOL_MIN_DRAWS_PER_WORKER * threads as u64,
                 "first batch must clear the pool threshold (applied {first})"
             );
             for _ in 0..40 {
-                s.advance_chain();
+                s.advance();
             }
-            (s.interactions(), s.productive_interactions(), s.into_counts())
+            (s.interactions_wide(), s.productive_interactions(), s.into_counts())
         };
         let serial = run(1);
         assert_eq!(serial, run(4), "1-thread vs 4-thread trajectories differ");
@@ -1908,7 +1633,7 @@ mod tests {
                     .unwrap()
                     .with_threads(threads);
                 let rep = s.run_until_silent(u64::MAX).unwrap();
-                (rep.interactions, rep.productive_interactions, s.into_counts())
+                (rep, s.into_counts())
             };
             let serial = run(1);
             let pooled = run(3);
@@ -1920,25 +1645,24 @@ mod tests {
     /// engine from counts) and keep producing the serial trajectory.
     #[test]
     fn pool_survives_snapshot_restore() {
-        use crate::engine::Engine;
         let n = 1 << 15;
         let p = Ag { n };
         let mut s = CountSimulation::new(&p, vec![0; n], 11).unwrap().with_threads(3);
         for _ in 0..5 {
-            s.advance_chain();
+            s.advance();
         }
-        let snap = Engine::snapshot(&s);
+        let snap = s.snapshot();
         let cont: Vec<u64> = (0..30)
             .map(|_| {
-                s.advance_chain();
+                s.advance();
                 s.productive_interactions()
             })
             .collect();
-        Engine::restore(&mut s, &snap);
+        s.restore(&snap);
         assert_eq!(s.threads(), 3, "thread budget lost across restore");
         let replay: Vec<u64> = (0..30)
             .map(|_| {
-                s.advance_chain();
+                s.advance();
                 s.productive_interactions()
             })
             .collect();
@@ -2020,12 +1744,12 @@ mod tests {
         // all productive weight is extra–extra, none equal-rank.
         let start = vec![p.extra(0); n];
         let mut sim = CountSimulation::new(&p, start, 21).unwrap();
-        let first = sim.advance_chain().unwrap();
+        let first = sim.advance().unwrap();
         assert!(
             first >= MIN_BATCH,
             "extra–extra start must batch, applied {first}"
         );
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(
                 sim.counts().iter().map(|&c| c as u64).sum::<u64>(),
                 n as u64
@@ -2046,7 +1770,7 @@ mod tests {
                     let mut s = CountSimulation::new(&p, vec![p.extra(0); n], 7000 + t)
                         .unwrap()
                         .with_batching(batching);
-                    s.run_until_silent(u64::MAX).unwrap().interactions as f64
+                    s.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
                 })
                 .sum::<f64>()
                 / trials as f64
@@ -2061,8 +1785,8 @@ mod tests {
     }
 
     /// Declaring a class non-exchangeable must force exact stepping
-    /// whenever it has weight, and the run must still be trace-identical
-    /// to the jump chain per seed.
+    /// whenever it has weight, and the run must then be trace-identical to
+    /// the engine with batching off, per seed.
     struct Frozen {
         n: usize,
     }
@@ -2093,13 +1817,15 @@ mod tests {
     fn non_exchangeable_class_forces_exact_stepping() {
         let p = Frozen { n: 4096 };
         let mut count = CountSimulation::new(&p, vec![0; 4096], 19).unwrap();
-        let mut jump = JumpSimulation::new(&p, vec![0; 4096], 19).unwrap();
+        let mut exact = CountSimulation::new(&p, vec![0; 4096], 19)
+            .unwrap()
+            .with_batching(false);
         for _ in 0..5_000 {
-            assert_eq!(count.advance_chain(), Some(1));
-            jump.step_productive();
+            assert_eq!(count.advance(), Some(1));
+            exact.advance();
         }
-        assert_eq!(count.interactions(), jump.interactions());
-        assert_eq!(count.counts(), jump.counts());
+        assert_eq!(count.interactions_wide(), exact.interactions_wide());
+        assert_eq!(count.counts(), exact.counts());
     }
 
     /// Sparse-only annihilation: `(1,2) → (0,0)` and `(2,1) → (0,0)`.
@@ -2136,13 +1862,51 @@ mod tests {
         vec![0, (n / 2) as u32, (n / 2) as u32]
     }
 
+    /// A single sparse rule `(0,1) → (0,2)` drains state 1: from [2,2,0]
+    /// the exact chain fires it exactly twice and reaches [2,0,2] — silent
+    /// without being a ranking.
+    #[test]
+    fn sparse_pair_protocol_runs_to_silence_exactly() {
+        struct Drain;
+        impl Protocol for Drain {
+            fn name(&self) -> &str {
+                "drain"
+            }
+            fn population_size(&self) -> usize {
+                4
+            }
+            fn num_states(&self) -> usize {
+                3
+            }
+            fn num_rank_states(&self) -> usize {
+                3
+            }
+            fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+                ((i, r) == (0, 1)).then_some((0, 2))
+            }
+        }
+        impl InteractionSchema for Drain {
+            fn interaction_classes(&self) -> Vec<ClassSpec> {
+                vec![ClassSpec::pair(0, 1)]
+            }
+        }
+        crate::protocol::validate_interaction_schema(&Drain).unwrap();
+        let mut sim = CountSimulation::from_counts(&Drain, vec![2, 2, 0], 7)
+            .unwrap()
+            .with_batching(false);
+        assert_eq!(sim.productive_pairs(), 4); // 2·2 ordered (0,1) pairs
+        let rep = sim.run_until_silent(u64::MAX).unwrap();
+        assert_eq!(rep.productive_interactions, 2);
+        assert_eq!(sim.counts(), &[2, 0, 2]);
+    }
+
     #[test]
     fn sparse_batching_engages_with_per_pair_caps() {
         crate::protocol::validate_interaction_schema(&Annihilate { n: 8 }).unwrap();
         let n = 4096;
         let p = Annihilate { n };
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 21).unwrap();
-        let first = sim.advance_chain().unwrap();
+        let first = sim.advance().unwrap();
         // W = 2c², pair scale = c, partner floor = 2c/2 = c ⇒ b = c/4.
         // The old global 2·partner-sum rein (scale 4c) allowed only c/16;
         // anything clearly above that proves the per-pair cap is in
@@ -2152,7 +1916,7 @@ mod tests {
             first >= c / 8 && first <= c / 4 + 1,
             "first batch {first} outside the per-pair-cap regime (c = {c})"
         );
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(
                 sim.counts().iter().map(|&c| c as u64).sum::<u64>(),
                 n as u64
@@ -2174,7 +1938,7 @@ mod tests {
                         CountSimulation::from_counts(&p, annihilate_counts(n), 4_000 + t)
                             .unwrap()
                             .with_batching(batching);
-                    s.run_until_silent(u64::MAX).unwrap().interactions as f64
+                    s.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
                 })
                 .sum::<f64>()
                 / trials as f64
@@ -2199,7 +1963,7 @@ mod tests {
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 3).unwrap();
         let mut total_quanta = 0u64;
         let mut last_batched_c = u64::MAX;
-        while let Some(applied) = sim.advance_chain() {
+        while let Some(applied) = sim.advance() {
             total_quanta += 1;
             if applied > 1 {
                 // Smallest population at which a batch still fired (counts
@@ -2274,16 +2038,16 @@ mod tests {
             let mut sim = CountSimulation::from_counts(&p, counts.clone(), 29)
                 .unwrap()
                 .with_threads(threads);
-            let first = sim.advance_chain().unwrap();
+            let first = sim.advance().unwrap();
             assert!(
                 first >= POOL_MIN_DRAWS_PER_WORKER * threads as u64,
                 "first batch must clear the pool threshold (applied {first})"
             );
             for _ in 0..40 {
-                sim.advance_chain();
+                sim.advance();
             }
             (
-                sim.interactions(),
+                sim.interactions_wide(),
                 sim.productive_interactions(),
                 sim.into_counts(),
             )
@@ -2297,26 +2061,25 @@ mod tests {
     /// original continuation if `CountControl` carries them.
     #[test]
     fn sparse_snapshot_restore_replays_exactly_while_batching() {
-        use crate::engine::Engine;
         let n = 4096;
         let p = Annihilate { n };
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 99).unwrap();
         for _ in 0..3 {
-            sim.advance_chain();
+            sim.advance();
         }
-        let snap = Engine::snapshot(&sim);
-        let cont: Vec<(u64, u64)> = (0..25)
+        let snap = sim.snapshot();
+        let cont: Vec<(u128, u64)> = (0..25)
             .map(|_| {
-                sim.advance_chain();
-                (sim.interactions(), sim.productive_interactions())
+                sim.advance();
+                (sim.interactions_wide(), sim.productive_interactions())
             })
             .collect();
         let counts_a = sim.counts().to_vec();
-        Engine::restore(&mut sim, &snap);
-        let replay: Vec<(u64, u64)> = (0..25)
+        sim.restore(&snap);
+        let replay: Vec<(u128, u64)> = (0..25)
             .map(|_| {
-                sim.advance_chain();
-                (sim.interactions(), sim.productive_interactions())
+                sim.advance();
+                (sim.interactions_wide(), sim.productive_interactions())
             })
             .collect();
         assert_eq!(cont, replay, "restored sparse run must replay the original");

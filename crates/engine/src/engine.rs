@@ -1,29 +1,32 @@
-//! The unified [`Engine`] abstraction over all simulators.
+//! The unified [`Engine`] abstraction over both simulators.
 //!
-//! Three engines simulate the *same* stochastic process — the paper's
-//! uniform random scheduler driving a population protocol — at three
+//! Two engines simulate the *same* stochastic process — the paper's
+//! uniform random scheduler driving a population protocol — at two
 //! different cost models:
 //!
 //! | Engine | Memory | Cost per unit | Best regime |
 //! |--------|--------|---------------|-------------|
-//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, per-agent observers, external schedulers |
-//! | [`JumpSimulation`](crate::jump::JumpSimulation) (`jump`) | `O(#states)` | `O(log #states)` per *productive* interaction | long runs near silence, `n` up to ~10⁵–10⁶ |
-//! | [`CountSimulation`](crate::count::CountSimulation) (`count`) | `O(#states)` | amortised sub-productive-interaction stepping via batching | `n = 10⁶…10⁹`, far-from-silent regimes |
+//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent identities, external schedulers; the independent oracle |
+//! | [`CountSimulation`](crate::count::CountSimulation) (`jump`, `count`) | `O(#states)` | `O(log #states)` per *productive* interaction in exact mode; amortised sub-productive-interaction stepping via batching far from silence | everything else, up to `n = 10⁹` |
 //!
-//! The trait is object-safe, so experiment drivers can select an engine at
-//! runtime (`--engine auto|naive|jump|count` in the CLI) and treat all
-//! three uniformly: stepping, running to silence with a cap, count-level
-//! observer hooks, transient-fault injection, and snapshot/restore.
-//! [`EngineKind::Auto`] picks the count engine at large `n` and the jump
-//! engine below, per protocol instance — heterogeneous sweeps get the
-//! right engine at every grid point.
+//! `jump` is the count engine with batching off: the exact null-skipping
+//! chain. The trait is object-safe, so experiment drivers can select an
+//! engine at runtime (`--engine auto|naive|jump|count` in the CLI) and
+//! treat all of them uniformly: stepping, running to silence with a cap,
+//! count-level observer hooks, transient-fault injection, and
+//! snapshot/restore. [`EngineKind::Auto`] picks batching at large `n` and
+//! the exact chain below, per protocol instance — heterogeneous sweeps
+//! get the right engine at every grid point.
+//!
+//! Every engine implements exactly one stepping primitive,
+//! [`Engine::advance_to`]; [`Engine::advance`],
+//! [`Engine::run_until_silent`] and [`Engine::run_until_silent_observed`]
+//! are derived from it through the single run loop [`run_loop`].
 //!
 //! # Examples
 //!
 //! ```
-//! use ssr_engine::engine::Engine;
-//! use ssr_engine::count::CountSimulation;
-//! use ssr_engine::jump::JumpSimulation;
+//! use ssr_engine::engine::{make_engine, Engine, EngineKind};
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
 //!
 //! struct Ag { n: usize }
@@ -44,17 +47,12 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = Ag { n: 64 };
-//! let mut engines: Vec<Box<dyn Engine>> = vec![
-//!     Box::new(JumpSimulation::new(&p, vec![0; 64], 7)?),
-//!     Box::new(CountSimulation::new(&p, vec![0; 64], 7)?),
-//! ];
-//! for e in &mut engines {
-//!     let report = Engine::run_until_silent(e.as_mut(), u64::MAX)?;
+//! for kind in EngineKind::ALL {
+//!     let mut e = make_engine(kind, &p, vec![0; 64], 7)?;
+//!     let report = e.run_until_silent(u64::MAX)?;
 //!     assert!(e.is_silent());
-//!     assert!(report.interactions >= report.productive_interactions);
+//!     assert!(report.interactions_wide >= u128::from(report.productive_interactions));
 //! }
-//! // Same seed ⇒ the jump and count engines walk the identical chain.
-//! assert_eq!(engines[0].interactions(), engines[1].interactions());
 //! # Ok(())
 //! # }
 //! ```
@@ -63,16 +61,18 @@ use crate::error::StabilisationTimeout;
 use crate::protocol::State;
 use crate::rng::Xoshiro256;
 use crate::sim::StabilisationReport;
+use std::ops::ControlFlow;
 
 /// Observer hook at the granularity every engine can afford: occupancy
 /// *counts*, not agent identities.
 ///
-/// The naive and jump engines invoke it once per productive interaction
-/// with `multiplicity == 1`, passing the post-transition counts. The
-/// count engine's batch mode coalesces a group of identical rewrites into
-/// a single call with the group size as `multiplicity`; all groups of one
-/// batch share the same post-**batch** counts and interaction clock
-/// (intermediate configurations inside a batch are not materialised).
+/// Exact stepping (the naive engine, and the count engine in exact mode)
+/// invokes it once per productive interaction with `multiplicity == 1`,
+/// passing the post-transition counts. The count engine's batch mode
+/// coalesces a group of identical rewrites into a single call with the
+/// group size as `multiplicity`; all groups of one batch share the same
+/// post-**batch** counts and interaction clock (intermediate
+/// configurations inside a batch are not materialised).
 pub trait CountObserver {
     /// Called after productive interaction(s) have been applied.
     ///
@@ -82,7 +82,7 @@ pub trait CountObserver {
     /// occupancy.
     fn on_productive(
         &mut self,
-        interactions: u64,
+        interactions: u128,
         before: (State, State),
         after: (State, State),
         multiplicity: u64,
@@ -98,7 +98,7 @@ impl CountObserver for NullCountObserver {
     #[inline]
     fn on_productive(
         &mut self,
-        _interactions: u64,
+        _interactions: u128,
         _before: (State, State),
         _after: (State, State),
         _multiplicity: u64,
@@ -111,13 +111,13 @@ impl CountObserver for NullCountObserver {
 #[derive(Debug)]
 pub struct FnCountObserver<F>(pub F);
 
-impl<F: FnMut(u64, (State, State), (State, State), u64, &[u32])> CountObserver
+impl<F: FnMut(u128, (State, State), (State, State), u64, &[u32])> CountObserver
     for FnCountObserver<F>
 {
     #[inline]
     fn on_productive(
         &mut self,
-        interactions: u64,
+        interactions: u128,
         before: (State, State),
         after: (State, State),
         multiplicity: u64,
@@ -223,8 +223,7 @@ impl ByzOverlay {
     /// Decide whether the initiator / responder of a sampled productive
     /// pair `(si, sr)` are Byzantine. Consumes exactly two RNG draws when
     /// either state holds Byzantine mass and none otherwise, so the veto
-    /// is a deterministic function of (rng, counts) — identical across the
-    /// jump and count engines.
+    /// is a deterministic function of (rng, counts).
     pub(crate) fn veto(
         &self,
         rng: &mut Xoshiro256,
@@ -263,14 +262,6 @@ impl EngineSnapshot {
         self.agents.as_deref()
     }
 
-    /// The interaction clock at capture time, saturating at `u64::MAX`
-    /// (see [`interactions_wide`](Self::interactions_wide)).
-    pub fn interactions(&self) -> u64 {
-        // lint:allow(A001): documented saturating u64 API boundary —
-        // the exact clock is `interactions_wide()`.
-        self.interactions.min(u64::MAX as u128) as u64
-    }
-
     /// The interaction clock at capture time, full-width: exact past
     /// `u64::MAX` for count-engine snapshots at `n ≥ 2³¹`.
     pub fn interactions_wide(&self) -> u128 {
@@ -286,29 +277,24 @@ impl EngineSnapshot {
 /// A population-protocol simulator behind a uniform, object-safe handle.
 ///
 /// All engines share silence semantics (silent ⇔ no ordered pair of agents
-/// is productive) and clock semantics (`interactions` counts *every*
-/// scheduler draw, nulls included, exactly — engines that skip nulls
-/// account for them stochastically but exactly in distribution).
+/// is productive) and clock semantics (the interaction clock counts
+/// *every* scheduler draw, nulls included, exactly — engines that skip
+/// nulls account for them stochastically but exactly in distribution).
+///
+/// An engine implements one stepping primitive,
+/// [`advance_to`](Engine::advance_to); [`advance`](Engine::advance) and
+/// the run-to-silence methods are provided on top of it.
 pub trait Engine {
-    /// Short engine identifier: `"naive"`, `"jump"` or `"count"`.
-    fn engine_name(&self) -> &'static str;
-
     /// Population size `n`.
     fn population_size(&self) -> usize;
 
     /// Current per-state occupancy counts.
     fn counts(&self) -> &[u32];
 
-    /// Total interactions simulated so far (nulls included), saturating
-    /// at `u64::MAX` (see [`interactions_wide`](Engine::interactions_wide)).
-    fn interactions(&self) -> u64;
-
-    /// Total interactions simulated so far, full-width. Only the count
-    /// engine's clock can exceed `u64::MAX` (at `n ≥ 2³¹`); for the other
-    /// engines this equals [`interactions`](Engine::interactions).
-    fn interactions_wide(&self) -> u128 {
-        self.interactions() as u128
-    }
+    /// Total interactions simulated so far (nulls included), full-width:
+    /// the count engine's clock legitimately passes `u64::MAX` at
+    /// `n ≥ 2³¹`.
+    fn interactions_wide(&self) -> u128;
 
     /// Productive interactions executed so far.
     fn productive_interactions(&self) -> u64;
@@ -316,59 +302,32 @@ pub trait Engine {
     /// Whether the configuration is silent.
     fn is_silent(&self) -> bool;
 
-    /// Advance the engine by its natural quantum and return the number of
-    /// productive interactions applied, or `None` if the configuration is
-    /// silent (nothing was executed).
-    ///
-    /// The quantum differs per engine: the naive engine executes one
-    /// scheduler draw (`Some(0)` for a null), the jump engine one
-    /// productive interaction plus its preceding nulls (`Some(1)`), and
-    /// the count engine either one productive interaction or — far from
-    /// silence — a whole batch (`Some(k)`).
-    fn advance(&mut self) -> Option<u64>;
-
-    /// Run until silent or until at least `max_interactions` have elapsed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded before a
-    /// silent configuration is reached.
-    fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout>;
-
-    /// Like [`run_until_silent`](Engine::run_until_silent), invoking
-    /// `observer` on productive interactions (batched engines may coalesce
-    /// identical rewrites into one call with multiplicity > 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout>;
-
     /// Advance by one natural quantum, but never *start* work at or past
     /// `cap` (an absolute interaction-clock value).
     ///
-    /// This is the primitive behind timed fault execution
-    /// ([`run_with_plan`](crate::faults::run_with_plan)): a caller that
-    /// must apply a fault at clock time `t` calls `advance_to(t, ..)` in a
-    /// loop; the engine executes productive interactions falling before
-    /// `t` and, when the next one would land past `t`, truncates the clock
-    /// to `t` and returns [`CappedAdvance::CapReached`] — an *exact*
-    /// operation for the exact-stepping engines by memorylessness of the
-    /// geometric gap. The count engine clips its batch size so a batch's
-    /// expected drift stays well inside the cap and falls back to exact
-    /// stepping for the final approach; only the stochastic null tail of a
-    /// committed batch may overshoot the cap (vanishingly rarely), in
-    /// which case the caller observes a clock slightly past `cap`.
+    /// The quantum differs per engine: the naive engine executes one
+    /// scheduler draw (`Applied(0)` for a null), the count engine one
+    /// productive interaction plus its preceding nulls (`Applied(1)`) or
+    /// — far from silence, with batching on — a whole batch
+    /// (`Applied(k)`). At `cap == u128::MAX` nothing is ever clipped,
+    /// which is the quantum of [`advance`](Engine::advance) and the run
+    /// loop.
     ///
-    /// `observer` sees every productive rewrite, exactly as in
-    /// [`run_until_silent_observed`](Engine::run_until_silent_observed).
+    /// Under a finite cap this is the primitive behind timed fault
+    /// execution ([`run_with_plan`](crate::faults::run_with_plan)): a
+    /// caller that must apply a fault at clock time `t` calls
+    /// `advance_to(t, ..)` in a loop; the engine executes productive
+    /// interactions falling before `t` and, when the next one would land
+    /// past `t`, truncates the clock to `t` and returns
+    /// [`CappedAdvance::CapReached`] — an *exact* operation for exact
+    /// stepping by memorylessness of the geometric gap. Batch mode clips
+    /// its batch size so a batch's expected drift stays well inside the
+    /// cap and falls back to exact stepping for the final approach; only
+    /// the stochastic null tail of a committed batch may overshoot the
+    /// cap (vanishingly rarely), in which case the caller observes a
+    /// clock slightly past `cap`.
+    ///
+    /// `observer` sees every productive rewrite.
     fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance;
 
     /// Mark `byz[s]` agents currently in state `s` as Byzantine/stuck-at:
@@ -417,19 +376,114 @@ pub trait Engine {
     /// Panics if the snapshot's shape does not match this protocol.
     fn restore(&mut self, snapshot: &EngineSnapshot);
 
+    /// Advance by one uncapped quantum (see
+    /// [`advance_to`](Engine::advance_to)) and return the number of
+    /// productive interactions applied, or `None` if the configuration is
+    /// silent (nothing was executed).
+    fn advance(&mut self) -> Option<u64> {
+        match self.advance_to(u128::MAX, &mut NullCountObserver) {
+            CappedAdvance::Silent => None,
+            CappedAdvance::Applied(k) => Some(k),
+            // Only a saturated clock can sit at the unbounded cap.
+            CappedAdvance::CapReached => Some(0),
+        }
+    }
+
+    /// Run until silent or until at least `max_interactions` have elapsed
+    /// (`u64::MAX` = unbounded).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StabilisationTimeout`] when the cap is exceeded before a
+    /// silent configuration is reached.
+    #[inline]
+    fn run_until_silent(
+        &mut self,
+        max_interactions: u64,
+    ) -> Result<StabilisationReport, StabilisationTimeout> {
+        self.run_until_silent_observed(max_interactions, &mut NullCountObserver)
+    }
+
+    /// Like [`run_until_silent`](Engine::run_until_silent), invoking
+    /// `observer` on productive interactions (batch mode coalesces
+    /// identical rewrites into one call with multiplicity > 1).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
+    #[inline]
+    fn run_until_silent_observed(
+        &mut self,
+        max_interactions: u64,
+        observer: &mut dyn CountObserver,
+    ) -> Result<StabilisationReport, StabilisationTimeout> {
+        let end = run_loop(self, max_interactions, observer, |_| ControlFlow::<()>::Continue(()));
+        match end {
+            ControlFlow::Continue(verdict) => verdict,
+            ControlFlow::Break(()) => unreachable!("the no-op hook never breaks"),
+        }
+    }
+
     /// Parallel time elapsed: interactions / n.
     fn parallel_time(&self) -> f64 {
-        self.interactions() as f64 / self.population_size() as f64
+        self.interactions_wide() as f64 / self.population_size() as f64
     }
 
     /// Build the report for the current (silent) configuration.
     fn report(&self) -> StabilisationReport {
         StabilisationReport {
-            interactions: self.interactions(),
             interactions_wide: self.interactions_wide(),
             productive_interactions: self.productive_interactions(),
             parallel_time: self.parallel_time(),
         }
+    }
+}
+
+/// The one run-to-silence loop every engine and the service runner share:
+/// check silence, check the cap, advance one uncapped quantum, then hand
+/// the engine to `between` — the place for work that must fall between
+/// quanta, such as the service's checkpoints. Taking a snapshot there
+/// consumes no RNG, so a hooked run follows the unhooked trajectory draw
+/// for draw.
+///
+/// Returns `Continue` with the verdict when the run ends — `Ok` when the
+/// configuration went silent within `max_interactions` (`u64::MAX` =
+/// unbounded), a [`StabilisationTimeout`] when the cap was reached first
+/// or a batch's null tail overshot it on the way to silence — and
+/// `Break` when `between` stopped the run.
+#[inline]
+pub fn run_loop<E, B>(
+    engine: &mut E,
+    max_interactions: u64,
+    observer: &mut dyn CountObserver,
+    mut between: impl FnMut(&mut E) -> ControlFlow<B>,
+) -> ControlFlow<B, Result<StabilisationReport, StabilisationTimeout>>
+where
+    E: Engine + ?Sized,
+{
+    let cap = if max_interactions == u64::MAX {
+        u128::MAX
+    } else {
+        u128::from(max_interactions)
+    };
+    loop {
+        let clock = engine.interactions_wide();
+        if engine.is_silent() {
+            return ControlFlow::Continue(if clock <= cap {
+                Ok(engine.report())
+            } else {
+                Err(StabilisationTimeout {
+                    interactions: max_interactions,
+                })
+            });
+        }
+        if clock >= cap {
+            return ControlFlow::Continue(Err(StabilisationTimeout {
+                interactions: u64::try_from(clock).unwrap_or(u64::MAX),
+            }));
+        }
+        engine.advance_to(u128::MAX, observer);
+        between(engine)?;
     }
 }
 
@@ -443,7 +497,8 @@ pub enum EngineKind {
     Auto,
     /// Step-by-step simulation over an agent vector.
     Naive,
-    /// Exact null-skipping jump chain over counts.
+    /// Exact null-skipping jump chain over counts: the count engine with
+    /// batching off.
     Jump,
     /// Jump chain plus far-from-silence batching over counts.
     Count,
@@ -456,9 +511,9 @@ impl EngineKind {
     /// [`Auto`]: EngineKind::Auto
     pub const ALL: [EngineKind; 3] = [EngineKind::Naive, EngineKind::Jump, EngineKind::Count];
 
-    /// Population size from which [`Auto`](EngineKind::Auto) prefers the
-    /// count engine: below it the jump engine's lower per-step constant
-    /// wins, above it batching dominates.
+    /// Population size from which [`Auto`](EngineKind::Auto) turns
+    /// batching on: below it batches are too small to pay for their
+    /// split overhead, above it batching dominates.
     pub const AUTO_COUNT_THRESHOLD: usize = 4096;
 
     /// Parse `"auto"`, `"naive"`, `"jump"` or `"count"`.
@@ -529,8 +584,8 @@ where
 }
 
 /// [`make_engine`] with a worker-thread budget for the count engine's
-/// parallel batch splits (0 = one per available core; other kinds ignore
-/// it). Count-engine trajectories are bit-identical for a fixed seed
+/// parallel batch splits (0 = one per available core; the exact kinds
+/// ignore it and never spawn a pool). Count-engine trajectories are bit-identical for a fixed seed
 /// regardless of `threads` — see
 /// [`CountSimulation::with_threads`](crate::count::CountSimulation::with_threads).
 ///
@@ -550,7 +605,9 @@ where
     Ok(match kind.resolve(protocol.population_size()) {
         EngineKind::Auto => unreachable!("resolve returns a concrete kind"),
         EngineKind::Naive => Box::new(crate::sim::Simulation::new(protocol, config, seed)?),
-        EngineKind::Jump => Box::new(crate::jump::JumpSimulation::new(protocol, config, seed)?),
+        EngineKind::Jump => Box::new(
+            crate::count::CountSimulation::new(protocol, config, seed)?.with_batching(false),
+        ),
         EngineKind::Count => Box::new(
             crate::count::CountSimulation::new(protocol, config, seed)?.with_threads(threads),
         ),
@@ -558,7 +615,7 @@ where
 }
 
 /// Build a boxed engine directly from per-state occupancy counts, skipping
-/// the agent vector entirely. The count and jump engines consume the
+/// the agent vector entirely. The count engine consumes the
 /// counts as-is (`O(#states)` construction); the naive engine expands them
 /// into a state-sorted agent vector. At `n = 10⁹` this is what keeps a
 /// scenario's peak memory at the counts footprint instead of an extra
@@ -584,9 +641,10 @@ where
             crate::init::from_counts(&counts),
             seed,
         )?),
-        EngineKind::Jump => {
-            Box::new(crate::jump::JumpSimulation::from_counts(protocol, counts, seed)?)
-        }
+        EngineKind::Jump => Box::new(
+            crate::count::CountSimulation::from_counts(protocol, counts, seed)?
+                .with_batching(false),
+        ),
         EngineKind::Count => Box::new(
             crate::count::CountSimulation::from_counts(protocol, counts, seed)?
                 .with_threads(threads),
@@ -651,15 +709,20 @@ mod tests {
 
     #[test]
     fn factory_resolves_auto() {
-        let small = Ag { n: 24 };
-        let e = make_engine(EngineKind::Auto, &small, vec![0; 24], 3).unwrap();
-        assert_eq!(e.engine_name(), "jump");
-        let big = Ag {
-            n: EngineKind::AUTO_COUNT_THRESHOLD,
+        // Auto must build exactly the engine its resolution names: the
+        // same seed walks the same trajectory, quantum for quantum.
+        let trace = |kind, n| {
+            let p = Ag { n };
+            let mut e = make_engine(kind, &p, vec![0; n], 3).unwrap();
+            (0..50)
+                .map(|_| (e.advance(), e.interactions_wide()))
+                .collect::<Vec<_>>()
         };
-        let cfg = vec![0; big.n];
-        let e = make_engine(EngineKind::Auto, &big, cfg, 3).unwrap();
-        assert_eq!(e.engine_name(), "count");
+        let t = EngineKind::AUTO_COUNT_THRESHOLD;
+        assert_eq!(trace(EngineKind::Auto, 24), trace(EngineKind::Jump, 24));
+        let big = trace(EngineKind::Auto, t);
+        assert_eq!(big, trace(EngineKind::Count, t));
+        assert!(big[0].0 > Some(1), "count at the threshold batches a stacked start");
     }
 
     #[test]
@@ -667,12 +730,11 @@ mod tests {
         let p = Ag { n: 24 };
         for kind in EngineKind::ALL {
             let mut e = make_engine(kind, &p, vec![0; 24], 9).unwrap();
-            assert_eq!(e.engine_name(), kind.name());
             assert_eq!(e.population_size(), 24);
             let rep = e.run_until_silent(u64::MAX).unwrap();
             assert!(e.is_silent(), "{kind}");
             assert!(e.counts().iter().all(|&c| c == 1), "{kind}");
-            assert!(rep.interactions >= rep.productive_interactions);
+            assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
             assert!(Engine::parallel_time(e.as_ref()) > 0.0);
         }
     }
@@ -682,10 +744,10 @@ mod tests {
         let p = Ag { n: 16 };
         // Naive: every call executes exactly one interaction.
         let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 16], 3).unwrap();
-        let before = naive.interactions();
+        let before = naive.interactions_wide();
         let quantum = naive.advance().unwrap();
         assert!(quantum <= 1);
-        assert_eq!(naive.interactions(), before + 1);
+        assert_eq!(naive.interactions_wide(), before + 1);
         // Jump: every call executes exactly one productive interaction.
         let mut jump = make_engine(EngineKind::Jump, &p, vec![0; 16], 3).unwrap();
         assert_eq!(jump.advance(), Some(1));
@@ -693,7 +755,30 @@ mod tests {
         // Silent engines return None and never advance.
         let mut silent = make_engine(EngineKind::Count, &p, (0..16).collect(), 3).unwrap();
         assert_eq!(silent.advance(), None);
-        assert_eq!(silent.interactions(), 0);
+        assert_eq!(silent.interactions_wide(), 0);
+    }
+
+    #[test]
+    fn run_loop_hook_runs_between_quanta_and_can_stop() {
+        let p = Ag { n: 16 };
+        let mut e = make_engine(EngineKind::Jump, &p, vec![0; 16], 4).unwrap();
+        let mut seen = 0u64;
+        let end = run_loop(e.as_mut(), u64::MAX, &mut NullCountObserver, |e| {
+            seen += 1;
+            if e.productive_interactions() == 5 {
+                ControlFlow::Break(e.interactions_wide())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(seen, 5, "one hook call per exact quantum");
+        assert_eq!(end, ControlFlow::Break(e.interactions_wide()));
+        // The hooked prefix is the unhooked trajectory's prefix.
+        let mut plain = make_engine(EngineKind::Jump, &p, vec![0; 16], 4).unwrap();
+        for _ in 0..5 {
+            plain.advance();
+        }
+        assert_eq!(plain.interactions_wide(), e.interactions_wide());
     }
 
     #[test]
@@ -735,9 +820,9 @@ mod tests {
             let rep_a = e.run_until_silent(u64::MAX).unwrap();
             let counts_a = e.counts().to_vec();
             e.restore(&snap);
-            assert_eq!(e.interactions(), snap.interactions());
+            assert_eq!(e.interactions_wide(), snap.interactions_wide());
             let rep_b = e.run_until_silent(u64::MAX).unwrap();
-            assert_eq!(rep_a.interactions, rep_b.interactions, "{kind}");
+            assert_eq!(rep_a, rep_b, "{kind}");
             assert_eq!(counts_a, e.counts(), "{kind}");
         }
     }
@@ -753,7 +838,7 @@ mod tests {
         let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 10], 13).unwrap();
         naive.restore(&snap);
         assert_eq!(naive.counts(), snap.counts());
-        assert_eq!(naive.interactions(), snap.interactions());
+        assert_eq!(naive.interactions_wide(), snap.interactions_wide());
         naive.run_until_silent(u64::MAX).unwrap();
         assert!(naive.is_silent());
     }

@@ -28,11 +28,11 @@
 //!
 //! [`run_with_plan`] executes a plan against any [`Engine`]
 //! deterministically: every engine sees the identical fault schedule and
-//! the identical fault RNG stream, the exact-stepping engines truncate
-//! their clock to each scheduled event time *exactly* (memorylessness of
-//! the geometric null gap), and the count engine clips its batch size to
-//! the next scheduled event so batches never blow through a fault time
-//! (see [`Engine::advance_to`]).
+//! the identical fault RNG stream, exact stepping truncates the clock to
+//! each scheduled event time *exactly* (memorylessness of the geometric
+//! null gap), and batch mode clips its batch size to the next scheduled
+//! event so batches never blow through a fault time (see
+//! [`Engine::advance_to`]).
 //!
 //! Because Byzantine agents and nonzero fault rates can make silence
 //! unreachable, [`run_with_plan`] never panics on non-convergence and
@@ -57,8 +57,8 @@
 //! Experiment EF in `exp_faults` uses the one-shot machinery to connect
 //! Theorem 1's `O(k·n^{3/2})` bound to an operational fault-tolerance
 //! statement; experiment AD in `exp_adversary` drives timed plans through
-//! the jump and count engines and cross-validates their recovery-time
-//! distributions.
+//! the exact chain (`jump`) and the batched count engine and
+//! cross-validates their recovery-time distributions.
 //!
 //! # Examples
 //!
@@ -234,9 +234,8 @@ pub struct RecoveryReport {
 /// Start the protocol in its silent perfect ranking, corrupt `faults`
 /// uniformly random agents, and run until the population is silent again
 /// on the engine [`EngineKind::Auto`] selects for the population size —
-/// the exact jump chain below the count threshold (where per-seed results
-/// are unchanged from the historical jump-only implementation), the
-/// batched count engine above it.
+/// the exact jump chain below the count threshold, the batched count
+/// engine above it.
 ///
 /// This is the operational restatement of the paper's `k`-distant
 /// experiment: `faults` random corruptions produce a configuration that
@@ -676,10 +675,10 @@ impl<'p> PlanExec<'p> {
 /// never the engine's, and the schedule is fixed up front — so every
 /// engine executes the identical fault sequence at the identical clock
 /// times, and a count-engine run is bit-identical at any thread count.
-/// Exact-stepping engines hit each event time exactly (clock truncation
-/// at a cap is exact by memorylessness); the count engine's batch mode
-/// clips batches to the next event and can overshoot an event only by a
-/// committed batch's null tail, vanishingly rarely.
+/// Exact stepping hits each event time exactly (clock truncation at a cap
+/// is exact by memorylessness); batch mode clips batches to the next event
+/// and can overshoot an event only by a committed batch's null tail,
+/// vanishingly rarely.
 ///
 /// The run ends *silent* when the configuration is silent and every
 /// remaining scheduled event lies at or beyond the horizon; it ends
@@ -757,8 +756,8 @@ pub fn run_with_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count::CountSimulation;
     use crate::engine::make_engine;
-    use crate::jump::JumpSimulation;
     use crate::protocol::{ClassSpec, Protocol};
 
     struct Ag {
@@ -875,17 +874,19 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_seed_compatible_with_the_jump_path() {
-        // Below the auto-count threshold the generalised runner must
-        // reproduce the historical jump-only implementation bit for bit.
+    fn recovery_is_seed_compatible_with_the_exact_chain() {
+        // Below the auto-count threshold recovery runs the exact chain
+        // from the documented fault stream, bit for bit.
         let p = Ag { n: 32 };
         for (f, seed) in [(3usize, 7u64), (10, 99)] {
             let rep = recovery_after_faults(&p, f, seed, u64::MAX).unwrap();
-            // Reference: the pre-generalisation implementation, inlined.
+            // Reference: the same recovery, inlined.
             let mut counts = vec![1u32; 32];
             let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x5eed_f417);
             let applied = perturb_counts(&mut counts, 32, f, &mut rng);
-            let mut sim = JumpSimulation::from_counts(&p, counts, seed).unwrap();
+            let mut sim = CountSimulation::from_counts(&p, counts, seed)
+                .unwrap()
+                .with_batching(false);
             let reference = sim.run_until_silent(u64::MAX).unwrap();
             assert_eq!(rep.faults_applied, applied);
             assert_eq!(rep.recovered, reference);
@@ -897,7 +898,7 @@ mod tests {
         let p = Ag { n: 16 };
         let rep = recovery_after_faults(&p, 0, 5, 100).unwrap();
         assert_eq!(rep.faults_applied, 0);
-        assert_eq!(rep.recovered.interactions, 0);
+        assert_eq!(rep.recovered.interactions_wide, 0);
     }
 
     #[test]
@@ -937,7 +938,7 @@ mod tests {
         assert_eq!(outcome.faults_injected, 0);
         assert!(outcome.bursts.is_empty());
         // The trajectory is the engine's own: same as a direct run.
-        let mut reference = JumpSimulation::new(&p, vec![0; 24], 5).unwrap();
+        let mut reference = make_engine(EngineKind::Jump, &p, vec![0; 24], 5).unwrap();
         let rep = reference.run_until_silent(u64::MAX).unwrap();
         assert_eq!(outcome.report, rep);
     }
@@ -985,7 +986,7 @@ mod tests {
         assert!(!outcome.silent);
         assert!(outcome.availability < 1.0);
         assert!(outcome.max_k >= 1);
-        assert!(outcome.report.interactions >= horizon);
+        assert!(outcome.report.interactions_wide >= u128::from(horizon));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Fenwick (binary indexed) tree over `u64` weights with O(log n) point
 //! updates and O(log n) weighted sampling.
 //!
-//! The jump-chain simulator keeps one Fenwick tree of per-state productive
-//! weights `c_s(c_s − 1)` and one of raw occupancies `c_s`; both need fast
-//! "sample an index proportional to weight" queries, which the classic
-//! Fenwick descend provides.
+//! The fault executor samples burst victims through one over the
+//! occupancy counts, and it is the reference the count engine's weight
+//! trees are tested against: both need fast "sample an index
+//! proportional to weight" queries, which the classic Fenwick descend
+//! provides.
 //!
 //! # Examples
 //!

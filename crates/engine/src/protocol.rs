@@ -10,12 +10,13 @@
 //!
 //! # The interaction schema
 //!
-//! The fast engines (`jump`, `count`) never sample null interactions: they
-//! need to know the exact set of *productive* ordered state pairs, its
-//! total weight under the current occupancy counts, and which parts of it
-//! can be batched. Protocols declare this once, declaratively, through
-//! [`InteractionSchema::interaction_classes`]: a list of [`ClassSpec`]s,
-//! each naming one [`InteractionClass`] with an exchangeability flag.
+//! The count engine (kinds `jump` and `count`) never samples null
+//! interactions: it needs to know the exact set of *productive* ordered
+//! state pairs, its total weight under the current occupancy counts, and
+//! which parts of it can be batched. Protocols declare this once,
+//! declaratively, through [`InteractionSchema::interaction_classes`]: a
+//! list of [`ClassSpec`]s, each naming one [`InteractionClass`] with an
+//! exchangeability flag.
 //!
 //! The four class shapes, with their weight formulas over the occupancy
 //! counts `c_s` (writing `R`/`E` for the number of agents in rank/extra
@@ -33,7 +34,7 @@
 //! [`validate_interaction_schema`] checks both exhaustively against the
 //! transition function for small instances and is used throughout the test
 //! suites. One schema drives everything downstream: exact productive-pair
-//! sampling in the jump engine, per-class batching in the count engine, and
+//! sampling in exact mode, per-class batching in batch mode, and
 //! the validators.
 //!
 //! # The ranking contract

@@ -190,10 +190,10 @@ impl Xoshiro256 {
     /// Number of consecutive failures before the first success of a
     /// Bernoulli(`p`) process (a geometric variate with support `{0,1,...}`).
     ///
-    /// Used by the jump-chain simulator to account for skipped null
-    /// interactions. `p` is clamped to `(0, 1]`; `p >= 1` always returns 0.
-    /// Saturates at `u64::MAX`; callers whose mean `(1-p)/p` can approach
-    /// that (the count engine near silence at `n ≥ 2³¹`) must use
+    /// Used by the fault executor for its arrival gaps. `p` is clamped to
+    /// `(0, 1]`; `p >= 1` always returns 0. Saturates at `u64::MAX`;
+    /// callers whose mean `(1-p)/p` can approach that (the count engine's
+    /// null gaps near silence at `n ≥ 2³¹`) must use
     /// [`geometric_wide`](Self::geometric_wide) instead.
     #[inline]
     pub fn geometric(&mut self, p: f64) -> u64 {

@@ -3,16 +3,17 @@
 //! This is a literal implementation of the paper's probabilistic model. It
 //! tracks per-state occupancy counts incrementally so that silence — by the
 //! ranking contract, "all agents in pairwise-distinct rank states" — is an
-//! O(1) test, and it exposes [`Observer`] hooks on productive interactions
-//! for invariant checking.
+//! O(1) test. It shares no sampling code with the count engine, which makes
+//! it the independent oracle the cross-engine tests compare against.
 //!
 //! For long runs dominated by null interactions prefer
-//! [`crate::jump::JumpSimulation`], which simulates the identical Markov
-//! chain while skipping nulls exactly.
+//! [`CountSimulation`](crate::count::CountSimulation), which simulates the
+//! identical Markov chain while skipping nulls exactly.
 //!
 //! # Examples
 //!
 //! ```
+//! use ssr_engine::engine::Engine;
 //! use ssr_engine::protocol::{Protocol, State};
 //! use ssr_engine::sim::Simulation;
 //!
@@ -32,27 +33,26 @@
 //! let mut sim = Simulation::new(&p, vec![0; 8], 42)?;
 //! let report = sim.run_until_silent(10_000_000)?;
 //! assert!(sim.is_silent());
-//! assert!(report.interactions > 0);
+//! assert!(report.interactions_wide > 0);
 //! # Ok(())
 //! # }
 //! ```
 
+use crate::engine::{CappedAdvance, CountObserver, EngineSnapshot};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::init;
-use crate::observer::{NullObserver, Observer, TransitionEvent};
 use crate::protocol::{Protocol, State};
 use crate::rng::Xoshiro256;
+
+/// A productive rewrite: the ordered state pair before and after.
+pub type Rewrite = ((State, State), (State, State));
 
 /// Outcome of a run that reached a silent configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilisationReport {
-    /// Interactions executed up to (and including) the last productive one,
-    /// saturating at `u64::MAX` — the count engine's clock legitimately
-    /// passes that at `n ≥ 2³¹`; see
-    /// [`interactions_wide`](Self::interactions_wide).
-    pub interactions: u64,
-    /// Full-width interaction clock, exact past `u64::MAX`. Equals
-    /// `interactions` for every engine except count at `n ≥ 2³¹`.
+    /// Interactions executed up to (and including) the last productive
+    /// one, full-width: the count engine's clock legitimately passes
+    /// `u64::MAX` at `n ≥ 2³¹`.
     pub interactions_wide: u128,
     /// Of those, how many actually changed the configuration.
     pub productive_interactions: u64,
@@ -194,9 +194,10 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         }
     }
 
-    /// Execute one scheduler step. Returns the event if it was productive.
+    /// Execute one scheduler step. Returns the rewrite if it was
+    /// productive.
     #[inline]
-    pub fn step(&mut self) -> Option<TransitionEvent> {
+    pub fn step(&mut self) -> Option<Rewrite> {
         let n = self.protocol.population_size();
         debug_assert!(n >= 2, "population protocols need at least two agents");
         let (i, r) = self.rng.ordered_pair(n);
@@ -213,7 +214,7 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     pub fn step_scheduled<S: crate::schedule::Scheduler>(
         &mut self,
         scheduler: &mut S,
-    ) -> Option<TransitionEvent> {
+    ) -> Option<Rewrite> {
         debug_assert_eq!(
             scheduler.population(),
             self.protocol.population_size(),
@@ -224,7 +225,8 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     }
 
     /// Run under an external scheduler until silent or until
-    /// `max_interactions` have been executed.
+    /// `max_interactions` have been executed. (The uniform scheduler's run
+    /// loop is [`Engine::run_until_silent`](crate::engine::Engine::run_until_silent).)
     ///
     /// # Errors
     ///
@@ -238,8 +240,7 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
             if self.is_silent() {
                 debug_assert!(self.verify_silent());
                 return Ok(StabilisationReport {
-                    interactions: self.interactions,
-                    interactions_wide: self.interactions as u128,
+                    interactions_wide: u128::from(self.interactions),
                     productive_interactions: self.productive,
                     parallel_time: self.parallel_time(),
                 });
@@ -254,10 +255,10 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     }
 
     /// Apply one interaction to the explicit agent pair, advancing the
-    /// interaction clock. Returns the event if it was productive.
+    /// interaction clock. Returns the rewrite if it was productive.
     #[inline]
-    fn apply_pair(&mut self, i: usize, r: usize) -> Option<TransitionEvent> {
-        // Saturate like the jump/count clocks: a bare `+= 1` wraps in
+    fn apply_pair(&mut self, i: usize, r: usize) -> Option<Rewrite> {
+        // Saturate like the count clock: a bare `+= 1` wraps in
         // release at u64::MAX (reachable near silence at extreme n).
         self.interactions = self.interactions.saturating_add(1);
         let si = self.agents[i];
@@ -294,69 +295,15 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
                     self.update_count(sr, -1);
                     self.update_count(sr2, 1);
                 }
-                Some(TransitionEvent {
-                    initiator: i,
-                    responder: r,
-                    before: (si, sr),
-                    after: (si2, sr2),
-                })
+                Some(((si, sr), (si2, sr2)))
             }
         }
     }
 
-    /// Run until silent or until `max_interactions` have been executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    pub fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        self.run_until_silent_observed(max_interactions, &mut NullObserver)
-    }
-
-    /// Like [`run_until_silent`], invoking `observer` on every productive
-    /// interaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    ///
-    /// [`run_until_silent`]: Simulation::run_until_silent
-    pub fn run_until_silent_observed<O: Observer>(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut O,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        loop {
-            if self.is_silent() {
-                debug_assert!(self.verify_silent());
-                return Ok(StabilisationReport {
-                    interactions: self.interactions,
-                    interactions_wide: self.interactions as u128,
-                    productive_interactions: self.productive,
-                    parallel_time: self.parallel_time(),
-                });
-            }
-            if self.interactions >= max_interactions {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions,
-                });
-            }
-            if let Some(event) = self.step() {
-                observer.on_transition(self.interactions, &event, &self.counts);
-            }
-        }
-    }
-
-    /// Execute exactly `budget` further interactions (silent or not),
-    /// invoking `observer` on productive ones.
-    pub fn run_for<O: Observer>(&mut self, budget: u64, observer: &mut O) {
+    /// Execute exactly `budget` further interactions, silent or not.
+    pub fn run_for(&mut self, budget: u64) {
         for _ in 0..budget {
-            if let Some(event) = self.step() {
-                observer.on_transition(self.interactions, &event, &self.counts);
-            }
+            self.step();
         }
     }
 
@@ -429,10 +376,6 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
 }
 
 impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
-    fn engine_name(&self) -> &'static str {
-        "naive"
-    }
-
     fn population_size(&self) -> usize {
         self.protocol.population_size()
     }
@@ -441,8 +384,8 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         &self.counts
     }
 
-    fn interactions(&self) -> u64 {
-        self.interactions
+    fn interactions_wide(&self) -> u128 {
+        u128::from(self.interactions)
     }
 
     fn productive_interactions(&self) -> u64 {
@@ -453,55 +396,23 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         Simulation::is_silent(self)
     }
 
-    /// One scheduler draw: `Some(1)` if it was productive, `Some(0)` for a
-    /// null interaction, `None` when already silent.
-    fn advance(&mut self) -> Option<u64> {
+    /// One scheduler draw: `Applied(1)` if it was productive, `Applied(0)`
+    /// for a null interaction.
+    fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
         if Simulation::is_silent(self) {
-            return None;
+            debug_assert!(self.verify_silent());
+            return CappedAdvance::Silent;
         }
-        Some(u64::from(self.step().is_some()))
-    }
-
-    fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        Simulation::run_until_silent(self, max_interactions)
-    }
-
-    fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        /// Bridges agent-level [`Observer`] events to count-level hooks.
-        struct Adapter<'o>(&'o mut dyn crate::engine::CountObserver);
-        impl Observer for Adapter<'_> {
-            fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]) {
-                self.0
-                    .on_productive(step, event.before, event.after, 1, counts);
-            }
-        }
-        Simulation::run_until_silent_observed(self, max_interactions, &mut Adapter(observer))
-    }
-
-    fn advance_to(
-        &mut self,
-        cap: u128,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> crate::engine::CappedAdvance {
-        if Simulation::is_silent(self) {
-            return crate::engine::CappedAdvance::Silent;
-        }
-        if (self.interactions as u128) >= cap {
-            return crate::engine::CappedAdvance::CapReached;
+        if u128::from(self.interactions) >= cap {
+            return CappedAdvance::CapReached;
         }
         match self.step() {
-            Some(event) => {
-                observer.on_productive(self.interactions, event.before, event.after, 1, &self.counts);
-                crate::engine::CappedAdvance::Applied(1)
+            Some((before, after)) => {
+                let clock = u128::from(self.interactions);
+                observer.on_productive(clock, before, after, 1, &self.counts);
+                CappedAdvance::Applied(1)
             }
-            None => crate::engine::CappedAdvance::Applied(0),
+            None => CappedAdvance::Applied(0),
         }
     }
 
@@ -563,8 +474,8 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         Simulation::inject_fault(self, agent, to);
     }
 
-    fn snapshot(&self) -> crate::engine::EngineSnapshot {
-        crate::engine::EngineSnapshot {
+    fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot {
             agents: Some(self.agents.clone()),
             counts: self.counts.clone(),
             interactions: self.interactions as u128,
@@ -574,8 +485,8 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         }
     }
 
-    fn restore(&mut self, snapshot: &crate::engine::EngineSnapshot) {
-        // Count-only snapshots (from the jump/count engines) reconstruct an
+    fn restore(&mut self, snapshot: &EngineSnapshot) {
+        // Count-only snapshots (from the count engine) reconstruct an
         // agent vector from counts; agents are anonymous, so the resulting
         // process is the same.
         let agents = snapshot
@@ -647,7 +558,7 @@ impl<P: Protocol + ?Sized> std::fmt::Debug for Simulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::FnObserver;
+    use crate::engine::{Engine, FnCountObserver};
 
     struct Ag {
         n: usize,
@@ -693,7 +604,7 @@ mod tests {
         let p = Ag { n: 6 };
         let mut sim = Simulation::new(&p, (0..6).collect(), 3).unwrap();
         let rep = sim.run_until_silent(10).unwrap();
-        assert_eq!(rep.interactions, 0);
+        assert_eq!(rep.interactions_wide, 0);
         assert!(sim.verify_silent());
     }
 
@@ -740,7 +651,7 @@ mod tests {
         let p = Ag { n: 6 };
         let mut sim = Simulation::new(&p, vec![0; 6], 13).unwrap();
         let mut seen = 0u64;
-        let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, _c: &[u32]| seen += 1);
+        let mut obs = FnCountObserver(|_s, _b, _a, mult, _c: &[u32]| seen += mult);
         let rep = sim.run_until_silent_observed(10_000_000, &mut obs).unwrap();
         let _ = obs;
         assert_eq!(seen, rep.productive_interactions);
@@ -761,7 +672,7 @@ mod tests {
     fn run_for_executes_exact_budget() {
         let p = Ag { n: 5 };
         let mut sim = Simulation::new(&p, vec![1; 5], 19).unwrap();
-        sim.run_for(123, &mut NullObserver);
+        sim.run_for(123);
         assert_eq!(sim.interactions(), 123);
     }
 
@@ -772,7 +683,7 @@ mod tests {
         let mut b = Simulation::new(&p, vec![0; 12], 23).unwrap();
         let ra = a.run_until_silent(u64::MAX).unwrap();
         let rb = b.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(ra.interactions, rb.interactions);
+        assert_eq!(ra, rb);
         assert_eq!(a.agents(), b.agents());
     }
 
@@ -780,7 +691,7 @@ mod tests {
     fn snapshot_restore_replays_exactly() {
         let p = Ag { n: 10 };
         let mut sim = Simulation::new(&p, vec![0; 10], 31).unwrap();
-        sim.run_for(500, &mut NullObserver);
+        sim.run_for(500);
         let snap = sim.snapshot();
         assert_eq!(snap.interactions(), 500);
         assert_eq!(snap.agents(), sim.agents());
@@ -793,7 +704,7 @@ mod tests {
         sim.restore(&snap);
         assert_eq!(sim.interactions(), 500);
         let rep_b = sim.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(rep_a.interactions, rep_b.interactions);
+        assert_eq!(rep_a, rep_b);
         assert_eq!(final_a, sim.agents());
     }
 
@@ -807,7 +718,7 @@ mod tests {
         assert_eq!(sim.interactions(), 1);
         let rep = sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
         assert!(sim.verify_silent());
-        assert!(rep.interactions >= rep.productive_interactions);
+        assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
     }
 
     #[test]
@@ -824,7 +735,7 @@ mod tests {
     fn parallel_time_is_interactions_over_n() {
         let p = Ag { n: 4 };
         let mut sim = Simulation::new(&p, vec![0; 4], 29).unwrap();
-        sim.run_for(40, &mut NullObserver);
+        sim.run_for(40);
         assert!((sim.parallel_time() - 10.0).abs() < 1e-12);
     }
 }

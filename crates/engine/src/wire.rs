@@ -407,13 +407,23 @@ mod tests {
         (eng.interactions_wide(), eng.productive_interactions())
     }
 
+    /// Exact-chain checkpoints written while `jump` was a separate engine
+    /// carry no count-control block (flags bit1 clear). Decoded and
+    /// restored into today's `jump` kind, one must finish bit-identical to
+    /// the uninterrupted run.
     #[test]
-    fn roundtrip_jump_snapshot_continues_identically() {
-        let (snap, p) = mid_run_snapshot(EngineKind::Jump, 64, 10);
+    fn exact_chain_checkpoint_without_control_block_resumes_identically() {
+        let (mut snap, p) = mid_run_snapshot(EngineKind::Jump, 64, 10);
+        snap.count_ctl = None;
         let shape = SnapshotShape::of(&p);
-        let wire = snap.clone().to_wire(shape);
+        let wire = snap.to_wire(shape);
+        assert_eq!(wire[28] & 2, 0, "flags byte must say: no control block");
         let decoded = EngineSnapshot::from_wire(&wire, shape).unwrap();
-        assert_eq!(finish(EngineKind::Jump, &p, snap), finish(EngineKind::Jump, &p, decoded));
+        let (start, _) = mid_run_snapshot(EngineKind::Jump, 64, 0);
+        assert_eq!(
+            finish(EngineKind::Jump, &p, decoded),
+            finish(EngineKind::Jump, &p, start)
+        );
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! One job execution with durable checkpoints and bit-identical resume.
 //!
-//! The core invariant: every engine's `run_until_silent` is the plain loop
-//! *check silence → check cap → advance one quantum*, and
-//! [`Engine::advance`](ssr_engine::Engine::advance) is exactly that
-//! quantum. [`run_job`] replays that loop verbatim and interleaves
-//! checkpoints *between* quanta; taking a snapshot consumes no RNG, so a
-//! checkpointed run, a resumed run, and an uninterrupted
-//! [`Scenario::run_one`](ssr_engine::Scenario::run_one) all follow the
-//! same trajectory draw for draw — at any thread count and any checkpoint
-//! cadence. (`advance_to` would *not* work here: the count engine clips
-//! batch sizes near caps, which changes the trajectory.)
+//! [`run_job`] drives the engine through the same loop every
+//! `run_until_silent` uses, [`ssr_engine::run_loop`], and adds only its
+//! checkpoint hook, which runs *between* quanta. Taking a snapshot
+//! consumes no RNG, so a checkpointed run, a resumed run, and an
+//! uninterrupted [`Scenario::run_one`](ssr_engine::Scenario::run_one) all
+//! follow the same trajectory draw for draw — at any thread count and any
+//! checkpoint cadence. The loop's quanta are uncapped; a clock-capped
+//! quantum would not do here, because batch mode clips batch sizes near a
+//! cap, which changes the trajectory.
 //!
 //! Fault-plan jobs run through
 //! [`run_outcome`](ssr_engine::Scenario::run_outcome) without mid-run
@@ -21,7 +20,9 @@ use crate::spec::{JobResult, JobSpec, JobStatusKind, OutcomeStats};
 use crate::store::CheckpointStore;
 use crate::ServiceError;
 use ssr_engine::wire::SnapshotShape;
-use ssr_engine::{Engine, EngineSnapshot, RunOutcome, Scenario};
+use ssr_engine::engine::NullCountObserver;
+use ssr_engine::{run_loop, Engine, EngineSnapshot, RunOutcome, Scenario};
+use std::ops::ControlFlow;
 
 /// Execution knobs of one [`run_job`] call — scheduling and durability
 /// policy, none of which affects the trajectory.
@@ -110,55 +111,48 @@ pub fn run_job(
         resumed = true;
     }
 
-    let cap = if spec.max_interactions == u64::MAX {
-        u128::MAX
-    } else {
-        spec.max_interactions as u128
-    };
     let every = cfg.checkpoint_every;
     let mut next_checkpoint = engine.interactions_wide().saturating_add(every.max(1));
     let mut taken = 0u32;
-    loop {
-        if engine.is_silent() {
-            let status = if engine.interactions_wide() <= cap {
-                JobStatusKind::Silent
-            } else {
-                // The committed batch's null tail overshot the cap before
-                // silence was observed — same verdict run_until_silent
-                // gives.
-                JobStatusKind::Timeout
-            };
-            store.clear(key)?;
-            return Ok(RunDisposition::Completed {
-                result: report_to_result(engine.as_ref(), status),
-                resumed,
-            });
-        }
-        if engine.interactions_wide() >= cap {
-            store.clear(key)?;
-            return Ok(RunDisposition::Completed {
-                result: report_to_result(engine.as_ref(), JobStatusKind::Timeout),
-                resumed,
-            });
-        }
-        engine.advance();
-        if every > 0 && engine.interactions_wide() >= next_checkpoint {
+    let end = run_loop(
+        engine.as_mut(),
+        spec.max_interactions,
+        &mut NullCountObserver,
+        |engine| {
+            if every == 0 || engine.interactions_wide() < next_checkpoint {
+                return ControlFlow::Continue(());
+            }
             let blob = engine.snapshot().to_wire(shape);
-            store.save(key, engine.interactions_wide(), &blob)?;
+            if let Err(e) = store.save(key, engine.interactions_wide(), &blob) {
+                return ControlFlow::Break(Err(e.into()));
+            }
             taken += 1;
             next_checkpoint = engine.interactions_wide().saturating_add(every);
             if cfg.interrupt_after == Some(taken) {
-                return Ok(RunDisposition::Interrupted { checkpoints: taken });
+                return ControlFlow::Break(Ok(RunDisposition::Interrupted { checkpoints: taken }));
             }
-        }
-    }
+            ControlFlow::Continue(())
+        },
+    );
+    let status = match end {
+        ControlFlow::Break(stopped) => return stopped,
+        ControlFlow::Continue(Ok(_)) => JobStatusKind::Silent,
+        // Cap reached, or a committed batch's null tail overshot the cap
+        // before silence was observed.
+        ControlFlow::Continue(Err(_)) => JobStatusKind::Timeout,
+    };
+    store.clear(key)?;
+    Ok(RunDisposition::Completed {
+        result: report_to_result(engine.as_ref(), status),
+        resumed,
+    })
 }
 
 fn report_to_result(engine: &dyn Engine, status: JobStatusKind) -> JobResult {
     let report = engine.report();
     JobResult {
         status,
-        interactions: report.interactions,
+        interactions: saturating_u64(report.interactions_wide),
         interactions_wide: report.interactions_wide,
         productive: report.productive_interactions,
         parallel_time: report.parallel_time,
@@ -173,7 +167,7 @@ fn outcome_to_result(outcome: RunOutcome) -> JobResult {
         } else {
             JobStatusKind::Timeout
         },
-        interactions: outcome.report.interactions,
+        interactions: saturating_u64(outcome.report.interactions_wide),
         interactions_wide: outcome.report.interactions_wide,
         productive: outcome.report.productive_interactions,
         parallel_time: outcome.report.parallel_time,
@@ -190,4 +184,10 @@ fn outcome_to_result(outcome: RunOutcome) -> JobResult {
                 .collect(),
         }),
     }
+}
+
+/// The on-disk result keeps its saturating `u64` clock field next to the
+/// exact one.
+fn saturating_u64(clock: u128) -> u64 {
+    u64::try_from(clock).unwrap_or(u64::MAX)
 }

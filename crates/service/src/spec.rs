@@ -671,6 +671,26 @@ mod tests {
         assert_eq!(a.key().unwrap(), g.key().unwrap());
     }
 
+    /// Golden cache keys: the key hashes `engine.resolve(n) as u64`, so
+    /// reordering or renumbering `EngineKind` (or changing what `Auto`
+    /// resolves to) would silently orphan every cached result. At n = 64
+    /// `auto` resolves to `jump`, so those two keys coincide.
+    #[test]
+    fn key_golden_values_per_engine() {
+        let golden = [
+            (EngineKind::Auto, "10ea549512f16759f3d6667933126682"),
+            (EngineKind::Naive, "f345c0bd929ac22d107bfb50b3680bae"),
+            (EngineKind::Jump, "10ea549512f16759f3d6667933126682"),
+            (EngineKind::Count, "b17237e1133fa1085232a4e6a23564e6"),
+        ];
+        for (engine, hex) in golden {
+            let mut spec = JobSpec::new("ring", 64, 7);
+            spec.init = JobInit::KDistant(3);
+            spec.engine = engine;
+            assert_eq!(spec.key().unwrap().hex(), hex, "{engine}");
+        }
+    }
+
     #[test]
     fn key_hex_round_trips() {
         let key = sample_spec().key().unwrap();

@@ -21,13 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Adversarial start: all agents in rank state 0.
     let start = vec![0; n];
-    let mut sim = JumpSimulation::new(&protocol, start, 42)?;
+    let mut sim = CountSimulation::new(&protocol, start, 42)?.with_batching(false);
     let report = sim.run_until_silent(u64::MAX)?;
 
     assert!(sim.is_silent());
     println!(
         "self-stabilised: {} interactions  |  parallel time {:.1}  |  {} productive",
-        report.interactions, report.parallel_time, report.productive_interactions
+        report.interactions_wide, report.parallel_time, report.productive_interactions
     );
 
     // Every rank state now hosts exactly one agent.

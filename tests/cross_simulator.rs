@@ -1,8 +1,9 @@
-//! The naive, jump-chain and count-batched simulators realise the same
-//! Markov chain: identical silence semantics and statistically
-//! indistinguishable stabilisation-time distributions (pairwise KS tests
-//! across all three engines), plus bit-identical jump↔count trajectories
-//! per seed when batching is off.
+//! The naive simulator and the count engine realise the same Markov chain:
+//! identical silence semantics and statistically indistinguishable
+//! stabilisation-time distributions — naive vs the exact chain (`jump`,
+//! the count engine with batching off), which share no sampling code, and
+//! the exact chain vs batching (`count`) — plus bit-identical traces
+//! between batching on and off wherever batching declines to engage.
 
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
@@ -16,15 +17,11 @@ fn mean_time<P: InteractionSchema>(
     naive: bool,
     seed0: u64,
 ) -> f64 {
-    let total: u64 = (0..trials)
+    let kind = if naive { EngineKind::Naive } else { EngineKind::Jump };
+    let total: u128 = (0..trials)
         .map(|t| {
-            if naive {
-                let mut s = Simulation::new(p, cfg.to_vec(), seed0 + t).unwrap();
-                s.run_until_silent(u64::MAX).unwrap().interactions
-            } else {
-                let mut s = JumpSimulation::new(p, cfg.to_vec(), seed0 + t).unwrap();
-                s.run_until_silent(u64::MAX).unwrap().interactions
-            }
+            let mut e = make_engine(kind, p, cfg.to_vec(), seed0 + t).unwrap();
+            e.run_until_silent(u64::MAX).unwrap().interactions_wide
         })
         .sum();
     total as f64 / trials as f64
@@ -77,21 +74,16 @@ fn distributions_pass_ks_test() {
     use ssr::analysis::ks::ks_two_sample;
     let p = GenericRanking::new(14);
     let cfg = vec![0u32; 14];
-    let sample = |naive: bool, seed0: u64| -> Vec<f64> {
+    let sample = |kind: EngineKind, seed0: u64| -> Vec<f64> {
         (0..400u64)
             .map(|t| {
-                if naive {
-                    let mut s = Simulation::new(&p, cfg.clone(), seed0 + t).unwrap();
-                    s.run_until_silent(u64::MAX).unwrap().interactions as f64
-                } else {
-                    let mut s = JumpSimulation::new(&p, cfg.clone(), seed0 + t).unwrap();
-                    s.run_until_silent(u64::MAX).unwrap().interactions as f64
-                }
+                let mut e = make_engine(kind, &p, cfg.clone(), seed0 + t).unwrap();
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
-    let naive = sample(true, 10_000);
-    let jump = sample(false, 20_000);
+    let naive = sample(EngineKind::Naive, 10_000);
+    let jump = sample(EngineKind::Jump, 20_000);
     let r = ks_two_sample(&naive, &jump);
     assert!(
         r.p_value > 0.001,
@@ -111,33 +103,46 @@ fn both_simulators_reach_the_same_silent_support() {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
         let mut a = Simulation::new(&p, cfg.clone(), 11).unwrap();
         a.run_until_silent(u64::MAX).unwrap();
-        let mut b = JumpSimulation::new(&p, cfg, 12).unwrap();
+        let mut b = CountSimulation::new(&p, cfg, 12).unwrap().with_batching(false);
         b.run_until_silent(u64::MAX).unwrap();
         let counts_a = init::counts(a.agents(), p.num_states());
         assert_eq!(counts_a, b.counts(), "silent support must be unique");
     }
 }
 
-/// Same seed ⇒ the count engine (exact mode) and the jump engine walk the
-/// *identical* chain on `A_G`: same productive counts, same interaction
-/// clock, same final configuration — not merely the same distribution.
+/// Step the batching `count` kind and the exact `jump` kind side by side
+/// from the same start and seed. Wherever every batch decision declines —
+/// the safe batch size is below the amortisation threshold — the count
+/// engine must walk the exact chain step for step: declining consumes no
+/// randomness and the exact quantum is the one `jump` runs. Stops at
+/// silence or after `max_steps` quanta.
+fn assert_declined_batching_is_the_exact_chain<P: InteractionSchema>(
+    p: &P,
+    cfg: &[State],
+    seed: u64,
+    max_steps: usize,
+) {
+    let mut jump = make_engine(EngineKind::Jump, p, cfg.to_vec(), seed).unwrap();
+    let mut count = make_engine(EngineKind::Count, p, cfg.to_vec(), seed).unwrap();
+    for step in 0..max_steps {
+        let (qj, qc) = (jump.advance(), count.advance());
+        assert_eq!(qj, qc, "seed {seed} step {step}: batching engaged or diverged");
+        assert_eq!(jump.interactions_wide(), count.interactions_wide(), "seed {seed}");
+        assert_eq!(jump.counts(), count.counts(), "seed {seed} step {step}");
+        if qj.is_none() {
+            return;
+        }
+    }
+}
+
+/// On `A_G` at n = 300 from a stacked start batching never pays, so the
+/// count kind is trace-identical to the jump kind all the way to silence.
 #[test]
 fn count_and_jump_are_trace_identical_on_ag() {
     let n = 300;
     let p = GenericRanking::new(n);
     for seed in [1u64, 42, 9000] {
-        let mut jump = JumpSimulation::new(&p, vec![0; n], seed).unwrap();
-        let mut count = CountSimulation::new(&p, vec![0; n], seed)
-            .unwrap()
-            .with_batching(false);
-        let rj = jump.run_until_silent(u64::MAX).unwrap();
-        let rc = count.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(
-            rj.productive_interactions, rc.productive_interactions,
-            "seed {seed}: productive counts must be identical"
-        );
-        assert_eq!(rj.interactions, rc.interactions, "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
+        assert_declined_batching_is_the_exact_chain(&p, &vec![0; n], seed, usize::MAX);
     }
 }
 
@@ -154,7 +159,7 @@ fn count_vs_jump_ks_test_at_n1000() {
         (0..trials)
             .map(|t| {
                 let mut e = make_engine(kind, &p, vec![0; n], seed0 + t).unwrap();
-                e.run_until_silent(u64::MAX).unwrap().interactions as f64
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
@@ -179,7 +184,7 @@ fn count_vs_naive_ks_test() {
         (0..trials)
             .map(|t| {
                 let mut e = make_engine(kind, &p, vec![0u32; 14], seed0 + t).unwrap();
-                e.run_until_silent(u64::MAX).unwrap().interactions as f64
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
@@ -211,7 +216,7 @@ fn tree_count_vs_jump_ks_test_on_batched_extra_classes() {
                 let mut rng = Xoshiro256::seed_from_u64(seed0 + t);
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
                 let mut e = make_engine(kind, &p, cfg, seed0 + t).unwrap();
-                e.run_until_silent(u64::MAX).unwrap().interactions as f64
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
@@ -239,7 +244,7 @@ fn line_count_vs_jump_ks_test_on_batched_cross_class() {
             .map(|t| {
                 let mut e =
                     make_engine(kind, &p, vec![p.x_state(); n], seed0 + t).unwrap();
-                e.run_until_silent(u64::MAX).unwrap().interactions as f64
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
@@ -254,9 +259,8 @@ fn line_count_vs_jump_ks_test_on_batched_cross_class() {
     );
 }
 
-/// With batching off, the count engine walks the jump engine's chain on
-/// the tree protocol too — the multi-class exact sampler (equal-rank +
-/// extra–extra + symmetric cross all live) is draw-for-draw shared.
+/// The same on the tree protocol, where the multi-class exact sampler
+/// (equal-rank + extra–extra + symmetric cross all live) does the work.
 #[test]
 fn count_and_jump_are_trace_identical_on_tree() {
     let n = 300;
@@ -264,18 +268,7 @@ fn count_and_jump_are_trace_identical_on_tree() {
     for seed in [2u64, 77, 4242] {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-        let mut jump = JumpSimulation::new(&p, cfg.clone(), seed).unwrap();
-        let mut count = CountSimulation::new(&p, cfg, seed)
-            .unwrap()
-            .with_batching(false);
-        let rj = jump.run_until_silent(u64::MAX).unwrap();
-        let rc = count.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(
-            rj.productive_interactions, rc.productive_interactions,
-            "seed {seed}: productive counts must be identical"
-        );
-        assert_eq!(rj.interactions, rc.interactions, "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
+        assert_declined_batching_is_the_exact_chain(&p, &cfg, seed, usize::MAX);
     }
 }
 
@@ -296,7 +289,7 @@ fn count_thread_counts_produce_identical_run_reports() {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
         let mut s = CountSimulation::new(&p, cfg, 99).unwrap().with_threads(threads);
         let mut max_quantum = 0u64;
-        while let Some(applied) = s.advance_chain() {
+        while let Some(applied) = s.advance() {
             max_quantum = max_quantum.max(applied);
         }
         assert!(
@@ -304,7 +297,7 @@ fn count_thread_counts_produce_identical_run_reports() {
             "run never reached the parallel batch threshold (max quantum {max_quantum})"
         );
         (
-            s.interactions(),
+            s.interactions_wide(),
             s.productive_interactions(),
             s.into_counts(),
         )
@@ -331,7 +324,7 @@ fn scenario_single_trial_is_thread_count_invariant() {
             .threads(threads)
             .run_one(0)
             .unwrap()
-            .interactions
+            .interactions_wide
     };
     assert_eq!(run(1), run(4));
 }
@@ -357,7 +350,7 @@ fn tree_count_parallel_vs_jump_ks_test() {
                     ),
                     _ => make_engine(kind, &p, cfg, seed0 + t).unwrap(),
                 };
-                e.run_until_silent(u64::MAX).unwrap().interactions as f64
+                e.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
             })
             .collect()
     };
@@ -411,27 +404,16 @@ fn loose_band_start(p: &LooseLeaderElection, n: usize, lo: u32, width: u32) -> V
         .collect()
 }
 
-/// With batching off, the count engine walks the jump engine's chain on
-/// the loose protocol too: the exact sampler is draw-for-draw shared even
-/// when nearly all the productive weight lives in the sparse-pair class
-/// (loose protocols are never silent, so this compares fixed-length
-/// prefixes instead of full runs).
+/// The same on the loose protocol, where nearly all the productive weight
+/// lives in the sparse-pair class and a spread start keeps the occupied
+/// pair count above the batch size (loose protocols are never silent, so
+/// this compares fixed-length prefixes instead of full runs).
 #[test]
 fn count_and_jump_are_trace_identical_on_loose() {
     let n = 512;
     let p = LooseLeaderElection::new(n);
     for seed in [3u64, 5151] {
-        let cfg = loose_spread_start(&p, n);
-        let mut jump = JumpSimulation::new(&p, cfg.clone(), seed).unwrap();
-        let mut count = CountSimulation::new(&p, cfg, seed)
-            .unwrap()
-            .with_batching(false);
-        for _ in 0..20_000 {
-            jump.step_productive();
-            count.advance_chain();
-        }
-        assert_eq!(jump.interactions(), count.interactions(), "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
+        assert_declined_batching_is_the_exact_chain(&p, &loose_spread_start(&p, n), seed, 20_000);
     }
 }
 
@@ -449,16 +431,18 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
     let n = 2048;
     let p = LooseLeaderElection::new(n);
     let trials = 80u64;
-    let budget = (n as u64) * (n as u64);
+    let budget = (n as u128) * (n as u128);
     let jump_sample: Vec<f64> = (0..trials)
         .map(|t| {
             let mut s =
-                JumpSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t).unwrap();
+                CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t)
+                    .unwrap()
+                    .with_batching(false);
             while p.leader_count(s.counts()) == 0 {
-                s.step_productive();
-                assert!(s.interactions() < budget, "no leader within budget");
+                s.advance();
+                assert!(s.interactions_wide() < budget, "no leader within budget");
             }
-            s.interactions() as f64
+            s.interactions_wide() as f64
         })
         .collect();
     let count_sample: Vec<f64> = (0..trials)
@@ -467,14 +451,14 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
                 CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 150_000 + t).unwrap();
             let mut max_quantum = 0u64;
             while p.leader_count(s.counts()) == 0 {
-                max_quantum = max_quantum.max(s.advance_chain().unwrap());
-                assert!(s.interactions() < budget, "no leader within budget");
+                max_quantum = max_quantum.max(s.advance().unwrap());
+                assert!(s.interactions_wide() < budget, "no leader within budget");
             }
             assert!(
                 max_quantum > 1,
                 "count engine never batched the sparse pre-leader phase"
             );
-            s.interactions() as f64
+            s.interactions_wide() as f64
         })
         .collect();
     let r = ks_two_sample(&jump_sample, &count_sample);
@@ -500,14 +484,14 @@ fn loose_thread_counts_produce_identical_trajectories() {
             .with_threads(threads);
         let mut max_quantum = 0u64;
         for _ in 0..40 {
-            max_quantum = max_quantum.max(s.advance_chain().unwrap());
+            max_quantum = max_quantum.max(s.advance().unwrap());
         }
         assert!(
             max_quantum >= 4096,
             "run never reached the parallel batch threshold (max quantum {max_quantum})"
         );
         (
-            s.interactions(),
+            s.interactions_wide(),
             s.productive_interactions(),
             s.into_counts(),
         )
@@ -526,9 +510,9 @@ fn jump_simulator_skips_but_never_undercounts() {
     let n = 20;
     for seed in 0..20 {
         let p = GenericRanking::new(n);
-        let mut s = JumpSimulation::new(&p, vec![0; n], seed).unwrap();
+        let mut s = CountSimulation::new(&p, vec![0; n], seed).unwrap().with_batching(false);
         let rep = s.run_until_silent(u64::MAX).unwrap();
         assert!(rep.productive_interactions >= (n - 1) as u64);
-        assert!(rep.interactions >= rep.productive_interactions);
+        assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
     }
 }

@@ -9,7 +9,6 @@
 use ssr::analysis::bootstrap::{median_ci, BootstrapOptions};
 use ssr::analysis::modelcheck::ModelCheckError;
 use ssr::engine::faults::{rank_distance, recovery_after_faults};
-use ssr::engine::observer::NullObserver;
 use ssr::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -140,7 +139,7 @@ fn uniform_scheduler_trait_matches_builtin_loop() {
     let mean_builtin: f64 = (0..trials)
         .map(|s| {
             let mut sim = Simulation::new(&p, vec![0; 12], 500 + s).unwrap();
-            sim.run_until_silent(u64::MAX).unwrap().interactions as f64
+            sim.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
         })
         .sum::<f64>()
         / trials as f64;
@@ -150,7 +149,7 @@ fn uniform_scheduler_trait_matches_builtin_loop() {
             let mut sched = UniformScheduler::new(12);
             sim.run_until_silent_scheduled(u64::MAX, &mut sched)
                 .unwrap()
-                .interactions as f64
+                .interactions_wide as f64
         })
         .sum::<f64>()
         / trials as f64;
@@ -184,7 +183,7 @@ fn loose_election_survives_fault_bursts() {
     let mut rng = Xoshiro256::seed_from_u64(5);
     let mut sim = Simulation::new(&p, vec![p.timer_max(); n], 23).unwrap();
     for _ in 0..3 {
-        sim.run_for(2_000 * n as u64, &mut NullObserver);
+        sim.run_for(2_000 * n as u64);
         for _ in 0..n / 4 {
             let victim = rng.below_usize(n);
             let garbage = rng.below(p.num_states() as u64) as State;
@@ -195,7 +194,7 @@ fn loose_election_survives_fault_bursts() {
     let cap = sim.interactions() + 50_000_000;
     while p.leader_count(sim.counts()) != 1 {
         assert!(sim.interactions() < cap, "no re-convergence after faults");
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
     }
 }
 
@@ -208,7 +207,9 @@ fn ecdf_and_bootstrap_summarise_real_stabilisation_times() {
     let p = TreeRanking::new(32);
     let times: Vec<f64> = (0..60u64)
         .map(|s| {
-            let mut sim = JumpSimulation::new(&p, vec![0; 32], 700 + s).unwrap();
+            let mut sim = CountSimulation::new(&p, vec![0; 32], 700 + s)
+                .unwrap()
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap().parallel_time
         })
         .collect();

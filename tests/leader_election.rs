@@ -56,7 +56,7 @@ fn leadership_is_stable_once_elected() {
     // Re-run the exact same seed: determinism pins the same leader.
     let out2 = elect_leader(&p, vec![0; n], 9, u64::MAX).unwrap();
     assert_eq!(out.leader, out2.leader);
-    assert_eq!(out.report.interactions, out2.report.interactions);
+    assert_eq!(out.report.interactions_wide, out2.report.interactions_wide);
 }
 
 #[test]

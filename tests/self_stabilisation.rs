@@ -62,7 +62,9 @@ fn every_protocol_ranks_from_every_start() {
     for n in [12usize, 40, 90] {
         for p in protocols(n) {
             for (name, cfg) in starts(p.as_ref(), &mut rng) {
-                let mut sim = JumpSimulation::new(p.as_ref(), cfg, 5).unwrap();
+                let mut sim = CountSimulation::new(p.as_ref(), cfg, 5)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX)
                     .unwrap_or_else(|e| panic!("{} n={n} start={name}: {e}", p.name()));
                 assert!(
@@ -91,7 +93,7 @@ fn silence_is_verified_exhaustively_and_stable() {
             .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         assert!(sim.verify_silent(), "{}: silence flag disagrees", p.name());
         let frozen = sim.agents().to_vec();
-        sim.run_for(200_000, &mut ssr::engine::observer::NullObserver);
+        sim.run_for(200_000);
         assert_eq!(frozen, sim.agents(), "{}: silent config mutated", p.name());
     }
 }
@@ -100,11 +102,11 @@ fn silence_is_verified_exhaustively_and_stable() {
 fn stabilisation_times_are_reported_consistently() {
     let n = 24;
     for p in protocols(n) {
-        let mut sim = JumpSimulation::new(p.as_ref(), vec![0; n], 3).unwrap();
+        let mut sim = CountSimulation::new(p.as_ref(), vec![0; n], 3).unwrap().with_batching(false);
         let rep = sim.run_until_silent(u64::MAX).unwrap();
-        assert!(rep.interactions >= rep.productive_interactions);
-        assert!((rep.parallel_time - rep.interactions as f64 / n as f64).abs() < 1e-9);
-        assert_eq!(sim.interactions(), rep.interactions);
+        assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
+        assert!((rep.parallel_time - rep.interactions_wide as f64 / n as f64).abs() < 1e-9);
+        assert_eq!(sim.interactions_wide(), rep.interactions_wide);
     }
 }
 
@@ -112,19 +114,19 @@ fn stabilisation_times_are_reported_consistently() {
 fn tiny_populations_work() {
     // The smallest populations each construction supports.
     let p = GenericRanking::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![0, 0], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![0, 0], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = RingOfTraps::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![1, 1], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![1, 1], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = LineOfTraps::new(3);
-    let mut sim = JumpSimulation::new(&p, vec![p.x_state(); 3], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![p.x_state(); 3], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = TreeRanking::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![p.x(1), p.x(1)], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![p.x(1), p.x(1)], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 }
 
