@@ -7,18 +7,21 @@
 //!   "whp" bounds);
 //! * [`regression`] — power-law fits `T(n) ≈ c·n^α(·logᵝn)` for
 //!   complexity-shape verification;
-//! * [`sweep`] — the parameter-sweep driver (grid × trials → rows);
+//! * [`sweep`] — the parameter-sweep driver (grid × trials → rows): one
+//!   [`Scenario`](ssr_engine::Scenario) per grid point, configured by the
+//!   caller;
 //! * [`table`] — aligned plain-text / Markdown table rendering.
 //!
 //! ```
-//! use ssr_analysis::{sweep::{sweep, SweepOptions}, regression::fit_power_law};
+//! use ssr_analysis::sweep::sweep;
 //! use ssr_core::generic::GenericRanking;
 //!
 //! let res = sweep(
 //!     &[16.0, 32.0, 64.0],
 //!     |x| GenericRanking::new(x as usize),
 //!     |p, _| vec![0; ssr_engine::Protocol::population_size(p)],
-//!     &SweepOptions::new(4),
+//!     0,
+//!     |scenario| scenario.trials(4),
 //! );
 //! let fit = res.fit_median();
 //! println!("A_G exponent ≈ {:.2}", fit.exponent); // ≈ 2
@@ -48,5 +51,5 @@ pub use ks::ks_two_sample;
 pub use modelcheck::{verify_stability, ModelCheckError, StabilityCertificate};
 pub use regression::{fit_power_law, fit_power_law_with_polylog, PowerLawFit};
 pub use stats::Summary;
-pub use sweep::{sweep, SweepOptions, SweepResult, SweepRow};
+pub use sweep::{sweep, SweepResult, SweepRow};
 pub use table::Table;

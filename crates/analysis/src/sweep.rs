@@ -2,21 +2,23 @@
 //!
 //! Each experiment in the paper reduces to "measure parallel stabilisation
 //! time while one parameter (population `n`, distance `k`, …) varies".
-//! [`sweep`] runs the trials (in parallel, deterministic seeds), summarises
-//! each grid point, and the result converts directly into tables and
-//! power-law fits.
+//! [`sweep`] builds one [`Scenario`] per grid point, lets the caller set
+//! its trials, engine, threads and cap, runs the trials (in parallel,
+//! deterministic seeds), summarises each grid point, and the result
+//! converts directly into tables and power-law fits.
 //!
 //! # Examples
 //!
 //! ```
-//! use ssr_analysis::sweep::{sweep, SweepOptions};
+//! use ssr_analysis::sweep::sweep;
 //! use ssr_core::generic::GenericRanking;
 //!
 //! let res = sweep(
 //!     &[16.0, 32.0],
 //!     |x| GenericRanking::new(x as usize),
 //!     |p, _seed| vec![0; ssr_engine::Protocol::population_size(p)],
-//!     &SweepOptions::new(4).with_base_seed(1),
+//!     1,
+//!     |scenario| scenario.trials(4),
 //! );
 //! assert_eq!(res.rows.len(), 2);
 //! assert!(res.rows[1].mean > res.rows[0].mean);
@@ -28,66 +30,6 @@ use crate::table::{fmt_f64, Table};
 use ssr_engine::protocol::{InteractionSchema, State};
 use ssr_engine::rng::derive_seed;
 use ssr_engine::runner::{Init, Scenario};
-use ssr_engine::EngineKind;
-
-/// Options for a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Trials per grid point.
-    pub trials: usize,
-    /// Base seed (grid point `i` runs under `derive_seed(base_seed, i)`).
-    pub base_seed: u64,
-    /// Per-trial interaction cap.
-    pub max_interactions: u64,
-    /// Worker threads (0 = auto).
-    pub threads: usize,
-    /// Engine per grid point (`Auto` = batching at large `n`, the exact
-    /// chain below, so
-    /// heterogeneous grids get the right engine at every point).
-    pub engine: EngineKind,
-}
-
-impl SweepOptions {
-    /// Options with the given trial count and permissive defaults.
-    pub fn new(trials: usize) -> Self {
-        SweepOptions {
-            trials,
-            base_seed: 0,
-            max_interactions: u64::MAX,
-            threads: 0,
-            engine: EngineKind::Auto,
-        }
-    }
-
-    /// Select the engine backing every grid point.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Set the base seed.
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Set the per-trial interaction cap.
-    pub fn with_max_interactions(mut self, max: u64) -> Self {
-        self.max_interactions = max;
-        self
-    }
-
-    /// Set the core budget (0 = one per available core). Each grid point
-    /// splits it across concurrent trials and the count engine's batch
-    /// splits via `Scenario::thread_split` — many trials run
-    /// trial-parallel, single-trial points hand the whole budget to the
-    /// engine's persistent worker pool, and in between both levels get a
-    /// share. Results are deterministic in the base seed regardless.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
 
 /// One grid point's measurements.
 #[derive(Debug, Clone)]
@@ -197,35 +139,35 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Run a sweep: for each grid value `x`, build a protocol, run
-/// `opts.trials` independent trials from `make_config(&protocol, seed)`
-/// starts, and summarise parallel stabilisation times.
+/// Run a sweep: for each grid value `x`, build a protocol and a
+/// [`Scenario`] over it that starts trials from `make_config(&protocol,
+/// seed)` under base seed `derive_seed(base_seed, i)` for grid point `i`;
+/// `configure` sets the scenario's trials, engine, threads and cap. The
+/// trials run and their parallel stabilisation times are summarised.
 ///
 /// Grid points with **zero** successful trials still produce a row (with
 /// zeroed statistics and `success_rate = 0`).
-pub fn sweep<P, FP, FC>(
+pub fn sweep<P, FP, FC, FS>(
     grid: &[f64],
     make_protocol: FP,
     make_config: FC,
-    opts: &SweepOptions,
+    base_seed: u64,
+    configure: FS,
 ) -> SweepResult
 where
     P: InteractionSchema + Sync,
     FP: Fn(f64) -> P,
     FC: Fn(&P, u64) -> Vec<State> + Sync,
+    FS: Fn(Scenario<'_, P>) -> Scenario<'_, P>,
 {
     let mut rows = Vec::with_capacity(grid.len());
     for (i, &x) in grid.iter().enumerate() {
         let protocol = make_protocol(x);
         let make = |seed| make_config(&protocol, seed);
-        let results = Scenario::new(&protocol)
-            .engine(opts.engine)
+        let scenario = Scenario::new(&protocol)
             .init(Init::Custom(&make))
-            .trials(opts.trials)
-            .base_seed(derive_seed(opts.base_seed, i as u64))
-            .max_interactions(opts.max_interactions)
-            .threads(opts.threads)
-            .run();
+            .base_seed(derive_seed(base_seed, i as u64));
+        let results = configure(scenario).run();
         let times = results.parallel_times();
         let (mean, median, max, p95) = if times.is_empty() {
             (0.0, 0.0, 0.0, 0.0)
@@ -240,7 +182,7 @@ where
             max,
             p95,
             success_rate: results.success_rate(),
-            trials: opts.trials,
+            trials: results.len(),
         });
     }
     SweepResult { rows }
@@ -262,7 +204,8 @@ mod tests {
             &[8.0, 16.0, 32.0],
             |x| GenericRanking::new(x as usize),
             stacked,
-            &SweepOptions::new(6).with_base_seed(11),
+            11,
+            |s| s.trials(6),
         );
         assert_eq!(res.rows.len(), 3);
         assert!(res.rows.iter().all(|r| r.success_rate == 1.0));
@@ -275,7 +218,8 @@ mod tests {
             &[16.0, 32.0, 64.0, 128.0],
             |x| GenericRanking::new(x as usize),
             stacked,
-            &SweepOptions::new(8).with_base_seed(3),
+            3,
+            |s| s.trials(8),
         );
         let fit = res.fit_median();
         assert!(
@@ -291,7 +235,8 @@ mod tests {
             &[16.0],
             |x| GenericRanking::new(x as usize),
             stacked,
-            &SweepOptions::new(3).with_max_interactions(1),
+            0,
+            |s| s.trials(3).max_interactions(1),
         );
         assert_eq!(res.rows[0].success_rate, 0.0);
         assert_eq!(res.rows[0].mean, 0.0);
@@ -303,7 +248,8 @@ mod tests {
             &[8.0, 16.0],
             |x| GenericRanking::new(x as usize),
             stacked,
-            &SweepOptions::new(2),
+            0,
+            |s| s.trials(2),
         );
         let t = res.to_table("n");
         assert_eq!(t.num_rows(), 2);
@@ -316,7 +262,8 @@ mod tests {
             &[8.0],
             |x| GenericRanking::new(x as usize),
             stacked,
-            &SweepOptions::new(2),
+            0,
+            |s| s.trials(2),
         );
         let json = res.to_json();
         assert!(json.contains("\"success_rate\""));

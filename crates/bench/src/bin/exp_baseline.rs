@@ -15,7 +15,7 @@
 // Audited: experiment grids cast small f64 population sizes (n <= 2^20) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
 
-use ssr_analysis::sweep::{sweep, SweepOptions};
+use ssr_analysis::sweep::sweep;
 use ssr_analysis::{fit_power_law, Summary, Table};
 use ssr_bench::{grid, print_header, report_sweep, stacked_start, trials, uniform_start, verdict};
 use ssr_core::generic::GenericRanking;
@@ -36,7 +36,8 @@ fn main() {
         &ns,
         |x| GenericRanking::new(x as usize),
         stacked_start,
-        &SweepOptions::new(t).with_base_seed(100),
+        100,
+        |s| s.trials(t),
     );
     let e1 = report_sweep("A_G from stacked start (all agents in rank 0)", "n", &stacked);
 
@@ -44,7 +45,8 @@ fn main() {
         &ns,
         |x| GenericRanking::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(200),
+        200,
+        |s| s.trials(t),
     );
     let e2 = report_sweep("A_G from uniform-random starts", "n", &random);
 

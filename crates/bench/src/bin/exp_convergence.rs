@@ -15,7 +15,7 @@
 use ssr_analysis::Table;
 use ssr_bench::{print_header, uniform_start};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{init, Protocol, Simulation};
+use ssr_engine::{init, Engine, Protocol, Simulation};
 
 /// Distance trace of one naive-simulation run at multiplicative
 /// checkpoints; returns (parallel time, metric) pairs.
@@ -31,7 +31,8 @@ fn trace<P: Protocol, M: Fn(&[u32]) -> u64>(
     let mut out = vec![(0.0, metric(sim.counts()))];
     let mut checkpoint = (n as u64).max(16);
     while !sim.is_silent() && sim.parallel_time() < max_parallel {
-        let budget = checkpoint.saturating_sub(sim.interactions());
+        let budget = u64::try_from(u128::from(checkpoint).saturating_sub(sim.interactions_wide()))
+            .expect("a budget below the u64 checkpoint");
         sim.run_for(budget);
         out.push((sim.parallel_time(), metric(sim.counts())));
         checkpoint *= 2;

@@ -18,7 +18,7 @@ use ssr_bench::{grid, print_header, trials};
 use ssr_core::ring::RingOfTraps;
 
 use ssr_engine::rng::Xoshiro256;
-use ssr_engine::{init, Simulation};
+use ssr_engine::{init, Engine, Simulation};
 
 /// Parallel time until trap 0 of a ring (loaded with surplus `l`) has
 /// ejected at least `target` agents through its gate.

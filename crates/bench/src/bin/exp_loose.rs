@@ -31,7 +31,7 @@ fn convergence_time(p: &LooseLeaderElection, start: Vec<State>, seed: u64, cap: 
         if p.leader_count(sim.counts()) == 1 {
             return sim.parallel_time();
         }
-        assert!(sim.interactions() < cap, "no convergence within cap");
+        assert!(sim.interactions_wide() < u128::from(cap), "no convergence within cap");
         sim.run_for(64);
     }
 }
@@ -71,7 +71,7 @@ fn holding_time(p: &LooseLeaderElection, seed: u64, budget: u64) -> Option<f64> 
     let mut start = vec![p.timer_max(); n];
     start[0] = p.leader_state();
     let mut sim = Simulation::new(p, start, seed).unwrap();
-    while sim.interactions() < budget {
+    while sim.interactions_wide() < u128::from(budget) {
         sim.run_for(64);
         if p.leader_count(sim.counts()) != 1 {
             return Some(sim.parallel_time());

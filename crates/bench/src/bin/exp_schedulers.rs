@@ -20,7 +20,7 @@ use ssr_analysis::{Summary, Table};
 use ssr_bench::{print_header, trials, uniform_start};
 use ssr_core::{GenericRanking, TreeRanking};
 use ssr_engine::schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
-use ssr_engine::{Protocol, Simulation};
+use ssr_engine::{Engine, Protocol, Simulation};
 
 /// Median parallel time to silence under a scheduler factory; returns
 /// `(median, successes)`.
@@ -39,9 +39,10 @@ where
     let mut times = Vec::new();
     for t in 0..n_trials as u64 {
         let start = uniform_start(p, 40_000 + base_seed + t);
-        let mut sim = Simulation::new(p, start, base_seed + t).unwrap();
-        let mut sched = make_sched();
-        if let Ok(rep) = sim.run_until_silent_scheduled(cap, &mut sched) {
+        let mut sim = Simulation::new(p, start, base_seed + t)
+            .unwrap()
+            .with_scheduler(make_sched());
+        if let Ok(rep) = sim.run_until_silent(cap) {
             times.push(rep.parallel_time);
         }
     }

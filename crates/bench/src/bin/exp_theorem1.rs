@@ -15,7 +15,7 @@
 // Audited: experiment grids cast small f64 population sizes (n <= 2^20) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
 
-use ssr_analysis::sweep::{sweep, SweepOptions};
+use ssr_analysis::sweep::sweep;
 use ssr_bench::{grid, print_header, report_sweep, trials, uniform_start, verdict};
 use ssr_core::generic::GenericRanking;
 use ssr_core::ring::RingOfTraps;
@@ -92,7 +92,8 @@ fn main() {
         &ns,
         |x| RingOfTraps::new(x as usize),
         |p, seed| k_distant_start(p, k_small, seed),
-        &SweepOptions::new(t).with_base_seed(400),
+        400,
+        |s| s.trials(t),
     );
     let e_b = report_sweep(
         &format!("(b) ring, k = {k_small}: time vs n (expect ≈ n^1.5, o(n²))"),
@@ -106,14 +107,16 @@ fn main() {
         &ns_c,
         |x| RingOfTraps::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(500),
+        500,
+        |s| s.trials(t),
     );
     let e_c = report_sweep("(c) ring from uniform-random starts", "n", &arb);
     let base = sweep(
         &ns_c,
         |x| GenericRanking::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(600),
+        600,
+        |s| s.trials(t),
     );
     let e_ag = report_sweep("(c') A_G from uniform-random starts (baseline)", "n", &base);
 

@@ -13,7 +13,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr_analysis::regression::fit_power_law_with_polylog;
-use ssr_analysis::sweep::{sweep, SweepOptions};
+use ssr_analysis::sweep::sweep;
 use ssr_bench::{grid, print_header, report_sweep, trials, uniform_start, verdict};
 use ssr_core::generic::GenericRanking;
 use ssr_core::line::LineOfTraps;
@@ -32,7 +32,8 @@ fn main() {
         &ns,
         |x| LineOfTraps::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(700),
+        700,
+        |s| s.trials(t),
     );
     let e_raw = report_sweep("line of traps from uniform-random starts", "n", &line);
     let corrected = fit_power_law_with_polylog(&line.xs(), &line.medians(), 2.0);
@@ -45,7 +46,8 @@ fn main() {
         &ns,
         |x| GenericRanking::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(800),
+        800,
+        |s| s.trials(t),
     );
     let e_ag = report_sweep("A_G baseline on the same sizes", "n", &base);
 

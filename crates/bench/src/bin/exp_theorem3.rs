@@ -12,7 +12,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr_analysis::regression::fit_power_law_with_polylog;
-use ssr_analysis::sweep::{sweep, SweepOptions};
+use ssr_analysis::sweep::sweep;
 use ssr_analysis::{Summary, Table};
 use ssr_bench::{
     grid, mean_parallel_time, print_header, report_sweep, stacked_start, trials, uniform_start,
@@ -57,7 +57,8 @@ fn main() {
         &ns,
         |x| TreeRanking::new(x as usize),
         stacked_start,
-        &SweepOptions::new(t).with_base_seed(900),
+        900,
+        |s| s.trials(t),
     );
     let e_stacked = report_sweep("tree from stacked (all-at-root) starts", "n", &stacked);
 
@@ -65,7 +66,8 @@ fn main() {
         &ns,
         |x| TreeRanking::new(x as usize),
         uniform_start,
-        &SweepOptions::new(t).with_base_seed(1000),
+        1000,
+        |s| s.trials(t),
     );
     let e_random = report_sweep("tree from uniform-random starts", "n", &random);
     let corrected = fit_power_law_with_polylog(&random.xs(), &random.medians(), 1.0);

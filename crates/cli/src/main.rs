@@ -22,14 +22,14 @@
 mod args;
 
 use args::Args;
-use ssr_analysis::sweep::{sweep, SweepOptions};
+use ssr_analysis::sweep::sweep;
 use ssr_analysis::Summary;
 use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    run_with_plan, CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema,
-    Protocol, Scenario, State,
+    CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol, Scenario,
+    State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 
@@ -135,13 +135,13 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let kind = engine_kind(a)?;
     let start = make_start(p.as_ref(), &a.str_or("start", "uniform"), a.usize_or("k", 1)?, seed)?;
     let make = move |_seed| start.clone();
+    let plan = parse_fault_plan(a)?;
     let scenario = Scenario::new(p.as_ref())
         .engine(kind)
         .init(Init::Custom(&make))
         .base_seed(seed)
+        .max_interactions(max)
         .threads(threads);
-    let plan = parse_fault_plan(a)?;
-    let mut sim = scenario.build_engine(0).map_err(|e| e.to_string())?;
     println!(
         "{}: n = {n}, {} states ({} extra), seed {seed}, engine {} ({kind})",
         p.name(),
@@ -157,9 +157,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                     .to_string(),
             );
         }
-        // Same per-trial fault-seed derivation the Scenario runner uses.
-        let fault_seed = derive_seed(seed, 0) ^ 0xFA17_FA17_FA17_FA17;
-        let outcome = run_with_plan(sim.as_mut(), &plan, fault_seed, max);
+        let outcome = scenario.fault_plan(plan).run_outcome(0);
         if outcome.silent {
             println!(
                 "silent after {} interactions (parallel time {:.1}); {} productive",
@@ -204,7 +202,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let report = sim.run_until_silent(max).map_err(|e| e.to_string())?;
+    let report = scenario.run_one(0).map_err(|e| e.to_string())?;
     println!(
         "silent after {} interactions (parallel time {:.1}); {} productive",
         report.interactions_wide, report.parallel_time, report.productive_interactions
@@ -230,10 +228,8 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
                     let mut rng = Xoshiro256::seed_from_u64(s);
                     init::uniform_random(p.population_size(), p.num_states(), &mut rng)
                 },
-                &SweepOptions::new(trials)
-                    .with_base_seed(seed)
-                    .with_engine(engine)
-                    .with_threads(threads),
+                seed,
+                |s| s.trials(trials).engine(engine).threads(threads),
             );
             print!("{}", res.to_table("n").render());
             if res.rows.len() >= 2 && res.rows.iter().all(|r| r.median > 0.0) {

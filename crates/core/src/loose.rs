@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use ssr_core::loose::LooseLeaderElection;
-//! use ssr_engine::{Protocol, Simulation};
+//! use ssr_engine::{Engine, Protocol, Simulation};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 64;
@@ -198,7 +198,7 @@ impl InteractionSchema for LooseLeaderElection {
 mod tests {
     use super::*;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::Simulation;
+    use ssr_engine::{Engine, Simulation};
 
     #[test]
     fn schema_is_exact() {

@@ -6,7 +6,7 @@
 //!
 //! | Engine | Memory | Cost per unit | Best regime |
 //! |--------|--------|---------------|-------------|
-//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent identities, external schedulers; the independent oracle |
+//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent identities, non-uniform [`Scheduler`](crate::schedule::Scheduler)s (`with_scheduler`); the independent oracle |
 //! | [`CountSimulation`](crate::count::CountSimulation) (`jump`, `count`) | `O(#states)` | `O(log #states)` per *productive* interaction in exact mode; amortised sub-productive-interaction stepping via batching far from silence | everything else, up to `n = 10⁹` |
 //!
 //! `jump` is the count engine with batching off: the exact null-skipping
@@ -21,7 +21,10 @@
 //! Every engine implements exactly one stepping primitive,
 //! [`Engine::advance_to`]; [`Engine::advance`],
 //! [`Engine::run_until_silent`] and [`Engine::run_until_silent_observed`]
-//! are derived from it through the single run loop [`run_loop`].
+//! are derived from it through the single run loop [`run_loop`]. Runs
+//! under a non-uniform scheduler are naive-engine runs like any other, so
+//! they go through the same loop; the trait is the only way to read an
+//! engine's clocks and counts, test silence, or snapshot it.
 //!
 //! # Examples
 //!

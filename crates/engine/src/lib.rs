@@ -32,7 +32,7 @@
 //!
 //! | Engine | Kinds | Memory | Cost model | Use when |
 //! |--------|-------|--------|-----------|----------|
-//! | [`Simulation`] | `naive` | `O(n)` agent vector | O(1) per *interaction*, nulls included | small `n`; agent identities; external [`Scheduler`]s; the independent oracle |
+//! | [`Simulation`] | `naive` | `O(n)` agent vector | O(1) per *interaction*, nulls included | small `n`; agent identities; non-uniform [`Scheduler`]s via [`Simulation::with_scheduler`](sim::Simulation::with_scheduler); the independent oracle |
 //! | [`CountSimulation`] | `jump`, `count` | `O(#states)` counts (block sums over derived leaves — ≈ `1.1n` bytes of weight overhead beyond the counts) | exact mode: O(log #states) per *productive* interaction, nulls skipped exactly; batch mode: amortised **sub-productive-interaction** — far from silence a whole batch of exchangeable steps costs O(occupied) binomial draws, across *every* exchangeable class, fanned out over a thread pool with seed-derived per-task RNG streams | everything else, up to `n = 10⁹` |
 //!
 //! The naive engine is the literal model and shares no sampling code with
@@ -71,7 +71,10 @@
 //!   deterministically by every engine via [`run_with_plan`], with
 //!   graceful non-convergence reporting ([`RunOutcome`]: availability,
 //!   `k`-excursions, per-burst recovery times).
-//! * [`sim`] — the naive step-by-step simulator.
+//! * [`sim`] — the naive step-by-step simulator; its inherent API is
+//!   what needs agent identities, everything else is the [`Engine`] trait.
+//! * [`schedule`] — pluggable pair schedulers for the naive engine
+//!   (uniform — the built-in draw — Zipf, two-community).
 //! * [`count`] — the count-based simulator (O(#states) memory, exact
 //!   null skipping, amortised sub-interaction stepping far from silence).
 //! * [`init`] — initial-configuration generators (`k`-distant, uniform

@@ -8,14 +8,20 @@
 //! the scheduler a first-class, swappable component so that robustness to
 //! scheduler skew can be measured (experiment ES in `exp_schedulers`):
 //!
-//! * [`UniformScheduler`] — the paper's model (identical in distribution
-//!   to the built-in [`crate::sim::Simulation`] loop);
+//! * [`UniformScheduler`] — the paper's model, and the naive engine's
+//!   built-in draw: [`Simulation::new`](crate::sim::Simulation::new)
+//!   steps through it, so a run under it *is* the default run, draw for
+//!   draw;
 //! * [`ZipfScheduler`] — agents are picked with Zipf-like weights
 //!   `w_i ∝ 1/(i+1)^θ`, modelling heterogeneous contact rates (some
 //!   agents meet others far more often);
 //! * [`ClusteredScheduler`] — the population is split into two blocks and
 //!   cross-block pairs fire with probability `ε`, modelling a weakly
 //!   connected two-community contact graph.
+//!
+//! [`Simulation::with_scheduler`](crate::sim::Simulation::with_scheduler)
+//! swaps the scheduler; the run itself goes through the
+//! [`Engine`](crate::engine::Engine) run loop like every other run.
 //!
 //! Every scheduler must return **ordered pairs of distinct agents** and
 //! give every pair positive probability; [`validate_scheduler`] spot-checks
@@ -57,7 +63,11 @@ pub trait Scheduler {
 /// The paper's uniform random scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniformScheduler {
-    n: usize,
+    /// Population size. [`Simulation::new`](crate::sim::Simulation::new)
+    /// sets it directly, skipping [`new`](UniformScheduler::new)'s `n ≥ 2`
+    /// check, so building a smaller simulation stays legal as before (its
+    /// `step` debug-asserts `n ≥ 2` instead).
+    pub(crate) n: usize,
 }
 
 impl UniformScheduler {

@@ -1,20 +1,37 @@
-//! The naive simulator: one uniformly random ordered pair per interaction.
+//! The naive simulator: one scheduler-drawn ordered pair per interaction.
 //!
-//! This is a literal implementation of the paper's probabilistic model. It
-//! tracks per-state occupancy counts incrementally so that silence — by the
-//! ranking contract, "all agents in pairwise-distinct rank states" — is an
-//! O(1) test. It shares no sampling code with the count engine, which makes
-//! it the independent oracle the cross-engine tests compare against.
+//! This is a literal implementation of the paper's probabilistic model:
+//! the default [`UniformScheduler`] draws each step's (initiator,
+//! responder) pair uniformly among the `n(n−1)` ordered pairs, and
+//! [`Simulation::with_scheduler`] swaps in any other [`Scheduler`]. The
+//! simulator tracks per-state occupancy counts incrementally so that
+//! silence — by the ranking contract, "all agents in pairwise-distinct
+//! rank states" — is an O(1) test. It shares no sampling code with the
+//! count engine, which makes it the independent oracle the cross-engine
+//! tests compare against.
+//!
+//! Its inherent API is what needs agent identities ([`agents`],
+//! [`step`], [`run_for`], [`inject_fault`], [`verify_silent`]);
+//! everything else — clocks, counts, silence, running to silence,
+//! snapshots — goes through the [`Engine`] trait.
 //!
 //! For long runs dominated by null interactions prefer
 //! [`CountSimulation`](crate::count::CountSimulation), which simulates the
-//! identical Markov chain while skipping nulls exactly.
+//! identical Markov chain (under the uniform scheduler) while skipping
+//! nulls exactly.
+//!
+//! [`agents`]: Simulation::agents
+//! [`step`]: Simulation::step
+//! [`run_for`]: Simulation::run_for
+//! [`inject_fault`]: Simulation::inject_fault
+//! [`verify_silent`]: Simulation::verify_silent
 //!
 //! # Examples
 //!
 //! ```
 //! use ssr_engine::engine::Engine;
 //! use ssr_engine::protocol::{Protocol, State};
+//! use ssr_engine::schedule::ZipfScheduler;
 //! use ssr_engine::sim::Simulation;
 //!
 //! struct Ag { n: usize }
@@ -34,15 +51,22 @@
 //! let report = sim.run_until_silent(10_000_000)?;
 //! assert!(sim.is_silent());
 //! assert!(report.interactions_wide > 0);
+//!
+//! // The same run under a skewed scheduler.
+//! let mut skewed =
+//!     Simulation::new(&p, vec![0; 8], 42)?.with_scheduler(ZipfScheduler::new(8, 1.0));
+//! skewed.run_until_silent(u64::MAX)?;
+//! assert!(sim.verify_silent() && skewed.verify_silent());
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::engine::{CappedAdvance, CountObserver, EngineSnapshot};
-use crate::error::{ConfigError, StabilisationTimeout};
+use crate::engine::{CappedAdvance, CountObserver, Engine, EngineSnapshot};
+use crate::error::ConfigError;
 use crate::init;
 use crate::protocol::{Protocol, State};
 use crate::rng::Xoshiro256;
+use crate::schedule::{Scheduler, UniformScheduler};
 
 /// A productive rewrite: the ordered state pair before and after.
 pub type Rewrite = ((State, State), (State, State));
@@ -60,9 +84,19 @@ pub struct StabilisationReport {
     pub parallel_time: f64,
 }
 
-/// Naive step-by-step simulation of a protocol on a concrete agent vector.
-pub struct Simulation<'a, P: Protocol + ?Sized> {
+/// `(duplicate_rank_agents, extra_agents)` of an occupancy vector: the
+/// configuration is silent iff both are zero.
+fn silence_tallies(counts: &[u32], num_ranks: usize) -> (u64, u64) {
+    let duplicates = counts[..num_ranks].iter().map(|&c| (c as u64).saturating_sub(1));
+    let extras = counts[num_ranks..].iter().map(|&c| c as u64);
+    (duplicates.sum(), extras.sum())
+}
+
+/// Naive step-by-step simulation of a protocol on a concrete agent vector,
+/// with pairs drawn by the scheduler `S`.
+pub struct Simulation<'a, P: Protocol + ?Sized, S: Scheduler = UniformScheduler> {
     protocol: &'a P,
+    scheduler: S,
     agents: Vec<State>,
     counts: Vec<u32>,
     /// Cached `protocol.num_rank_states()` — `update_count` sits on the
@@ -74,7 +108,7 @@ pub struct Simulation<'a, P: Protocol + ?Sized> {
     duplicate_rank_agents: u64,
     /// Agents currently in extra (non-rank) states.
     extra_agents: u64,
-    interactions: u64,
+    interactions: u128,
     productive: u64,
     rng: Xoshiro256,
     /// Per-agent Byzantine/stuck-at flags; empty when no overlay is active.
@@ -82,7 +116,8 @@ pub struct Simulation<'a, P: Protocol + ?Sized> {
 }
 
 impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
-    /// Start a simulation from an explicit configuration.
+    /// Start a simulation from an explicit configuration under the
+    /// paper's uniform scheduler.
     ///
     /// # Errors
     ///
@@ -99,13 +134,10 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         init::validate(&config, protocol.num_states())?;
         let counts = init::counts(&config, protocol.num_states());
         let num_ranks = protocol.num_rank_states();
-        let duplicate_rank_agents = counts[..num_ranks]
-            .iter()
-            .map(|&c| (c as u64).saturating_sub(1))
-            .sum();
-        let extra_agents = counts[num_ranks..].iter().map(|&c| c as u64).sum();
+        let (duplicate_rank_agents, extra_agents) = silence_tallies(&counts, num_ranks);
         Ok(Simulation {
             protocol,
+            scheduler: UniformScheduler { n },
             agents: config,
             counts,
             num_ranks,
@@ -118,47 +150,44 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         })
     }
 
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        self.protocol
+    /// Draw pairs from `scheduler` instead of the uniform one. The
+    /// simulation's own RNG drives it, so runs stay deterministic per
+    /// seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheduler's population differs from the protocol's.
+    pub fn with_scheduler<S: Scheduler>(self, scheduler: S) -> Simulation<'a, P, S> {
+        assert_eq!(
+            scheduler.population(),
+            self.agents.len(),
+            "scheduler population mismatch"
+        );
+        Simulation {
+            protocol: self.protocol,
+            scheduler,
+            agents: self.agents,
+            counts: self.counts,
+            num_ranks: self.num_ranks,
+            duplicate_rank_agents: self.duplicate_rank_agents,
+            extra_agents: self.extra_agents,
+            interactions: self.interactions,
+            productive: self.productive,
+            rng: self.rng,
+            byz: self.byz,
+        }
     }
+}
 
+impl<P: Protocol + ?Sized, S: Scheduler> Simulation<'_, P, S> {
     /// Current per-agent states.
     pub fn agents(&self) -> &[State] {
         &self.agents
     }
 
-    /// Current per-state occupancy counts.
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// Total interactions so far (including nulls).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Productive interactions so far.
-    pub fn productive_interactions(&self) -> u64 {
-        self.productive
-    }
-
-    /// Parallel time elapsed: interactions / n.
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.protocol.population_size() as f64
-    }
-
-    /// O(1) silence test via the ranking contract: silent iff every agent
-    /// occupies its own rank state and no extra state is occupied.
-    pub fn is_silent(&self) -> bool {
-        self.duplicate_rank_agents == 0 && self.extra_agents == 0
-    }
-
     /// Exhaustive silence verification: checks that **no** ordered pair of
     /// currently occupied states is productive. `O(occupied²)` — intended
-    /// for tests; the hot path uses [`is_silent`].
-    ///
-    /// [`is_silent`]: Simulation::is_silent
+    /// for tests; the hot path uses the O(1) [`Engine::is_silent`].
     pub fn verify_silent(&self) -> bool {
         let occupied: Vec<State> = (0..self.counts.len())
             .filter(|&s| self.counts[s] > 0)
@@ -194,72 +223,17 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         }
     }
 
-    /// Execute one scheduler step. Returns the rewrite if it was
-    /// productive.
+    /// Execute one scheduler step: draw an ordered pair, apply the
+    /// transition and advance the interaction clock. Returns the rewrite
+    /// if it was productive.
     #[inline]
     pub fn step(&mut self) -> Option<Rewrite> {
-        let n = self.protocol.population_size();
-        debug_assert!(n >= 2, "population protocols need at least two agents");
-        let (i, r) = self.rng.ordered_pair(n);
-        self.apply_pair(i, r)
-    }
-
-    /// Execute one step with the (initiator, responder) pair drawn from an
-    /// external [`Scheduler`] instead of the built-in uniform one. The
-    /// simulation's own RNG drives the scheduler, so runs remain
-    /// deterministic per seed.
-    ///
-    /// [`Scheduler`]: crate::schedule::Scheduler
-    #[inline]
-    pub fn step_scheduled<S: crate::schedule::Scheduler>(
-        &mut self,
-        scheduler: &mut S,
-    ) -> Option<Rewrite> {
-        debug_assert_eq!(
-            scheduler.population(),
-            self.protocol.population_size(),
-            "scheduler population mismatch"
+        debug_assert!(
+            self.agents.len() >= 2,
+            "population protocols need at least two agents"
         );
-        let (i, r) = scheduler.next_pair(&mut self.rng);
-        self.apply_pair(i, r)
-    }
-
-    /// Run under an external scheduler until silent or until
-    /// `max_interactions` have been executed. (The uniform scheduler's run
-    /// loop is [`Engine::run_until_silent`](crate::engine::Engine::run_until_silent).)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    pub fn run_until_silent_scheduled<S: crate::schedule::Scheduler>(
-        &mut self,
-        max_interactions: u64,
-        scheduler: &mut S,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        loop {
-            if self.is_silent() {
-                debug_assert!(self.verify_silent());
-                return Ok(StabilisationReport {
-                    interactions_wide: u128::from(self.interactions),
-                    productive_interactions: self.productive,
-                    parallel_time: self.parallel_time(),
-                });
-            }
-            if self.interactions >= max_interactions {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions,
-                });
-            }
-            self.step_scheduled(scheduler);
-        }
-    }
-
-    /// Apply one interaction to the explicit agent pair, advancing the
-    /// interaction clock. Returns the rewrite if it was productive.
-    #[inline]
-    fn apply_pair(&mut self, i: usize, r: usize) -> Option<Rewrite> {
-        // Saturate like the count clock: a bare `+= 1` wraps in
-        // release at u64::MAX (reachable near silence at extreme n).
+        let (i, r) = self.scheduler.next_pair(&mut self.rng);
+        // Saturate like the count clock (a restored clock may sit at the top).
         self.interactions = self.interactions.saturating_add(1);
         let si = self.agents[i];
         let sr = self.agents[r];
@@ -327,57 +301,11 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         self.update_count(old, -1);
         self.update_count(state, 1);
     }
-
-    /// Consume the simulation and return the final configuration.
-    pub fn into_agents(self) -> Vec<State> {
-        self.agents
-    }
-
-    /// Capture the complete simulation state (configuration, clocks and
-    /// RNG) so a trajectory can be branched or replayed later.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            agents: self.agents.clone(),
-            counts: self.counts.clone(),
-            duplicate_rank_agents: self.duplicate_rank_agents,
-            extra_agents: self.extra_agents,
-            interactions: self.interactions,
-            productive: self.productive,
-            rng: self.rng.clone(),
-        }
-    }
-
-    /// Restore a snapshot previously taken from a simulation of the same
-    /// protocol instance. Restoring and re-running reproduces the exact
-    /// same trajectory (the RNG state is part of the snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's shape does not match this protocol.
-    pub fn restore(&mut self, snapshot: &Snapshot) {
-        assert_eq!(
-            snapshot.agents.len(),
-            self.protocol.population_size(),
-            "snapshot population mismatch"
-        );
-        assert_eq!(
-            snapshot.counts.len(),
-            self.protocol.num_states(),
-            "snapshot state-space mismatch"
-        );
-        self.agents.clone_from(&snapshot.agents);
-        self.counts.clone_from(&snapshot.counts);
-        self.duplicate_rank_agents = snapshot.duplicate_rank_agents;
-        self.extra_agents = snapshot.extra_agents;
-        self.interactions = snapshot.interactions;
-        self.productive = snapshot.productive;
-        self.rng = snapshot.rng.clone();
-    }
 }
 
-impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
+impl<P: Protocol + ?Sized, S: Scheduler> Engine for Simulation<'_, P, S> {
     fn population_size(&self) -> usize {
-        self.protocol.population_size()
+        self.agents.len()
     }
 
     fn counts(&self) -> &[u32] {
@@ -385,31 +313,32 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
     }
 
     fn interactions_wide(&self) -> u128 {
-        u128::from(self.interactions)
+        self.interactions
     }
 
     fn productive_interactions(&self) -> u64 {
         self.productive
     }
 
+    /// O(1) silence test via the ranking contract: silent iff every agent
+    /// occupies its own rank state and no extra state is occupied.
     fn is_silent(&self) -> bool {
-        Simulation::is_silent(self)
+        self.duplicate_rank_agents == 0 && self.extra_agents == 0
     }
 
     /// One scheduler draw: `Applied(1)` if it was productive, `Applied(0)`
     /// for a null interaction.
     fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
-        if Simulation::is_silent(self) {
+        if self.is_silent() {
             debug_assert!(self.verify_silent());
             return CappedAdvance::Silent;
         }
-        if u128::from(self.interactions) >= cap {
+        if self.interactions >= cap {
             return CappedAdvance::CapReached;
         }
         match self.step() {
             Some((before, after)) => {
-                let clock = u128::from(self.interactions);
-                observer.on_productive(clock, before, after, 1, &self.counts);
+                observer.on_productive(self.interactions, before, after, 1, &self.counts);
                 CappedAdvance::Applied(1)
             }
             None => CappedAdvance::Applied(0),
@@ -457,10 +386,7 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
     }
 
     fn skip_nulls(&mut self, nulls: u128) {
-        self.interactions = self
-            .interactions
-            // lint:allow(A001): saturating clamp at the u64 clock width.
-            .saturating_add(nulls.min(u64::MAX as u128) as u64);
+        self.interactions = self.interactions.saturating_add(nulls);
     }
 
     fn inject_state_fault(&mut self, from: State, to: State) {
@@ -471,14 +397,14 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
             .enumerate()
             .position(|(i, &s)| s == from && !byz.get(i).copied().unwrap_or(false))
             .unwrap_or_else(|| panic!("state {from} has no non-Byzantine occupant"));
-        Simulation::inject_fault(self, agent, to);
+        self.inject_fault(agent, to);
     }
 
     fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             agents: Some(self.agents.clone()),
             counts: self.counts.clone(),
-            interactions: self.interactions as u128,
+            interactions: self.interactions,
             productive: self.productive,
             rng: self.rng.clone(),
             count_ctl: None,
@@ -503,52 +429,22 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
             self.protocol.num_states(),
             "snapshot state-space mismatch"
         );
-        let num_ranks = self.num_ranks;
         self.agents = agents;
         self.counts.clone_from(&snapshot.counts);
-        self.duplicate_rank_agents = self.counts[..num_ranks]
-            .iter()
-            .map(|&c| (c as u64).saturating_sub(1))
-            .sum();
-        self.extra_agents = self.counts[num_ranks..].iter().map(|&c| c as u64).sum();
-        // The naive engine's clock is u64; count-engine snapshots past
-        // u64::MAX cannot be represented here and saturate.
-        // lint:allow(A001): that documented saturation, deliberately.
-        self.interactions = snapshot.interactions.min(u64::MAX as u128) as u64;
+        (self.duplicate_rank_agents, self.extra_agents) =
+            silence_tallies(&self.counts, self.num_ranks);
+        self.interactions = snapshot.interactions;
         self.productive = snapshot.productive;
         self.rng = snapshot.rng.clone();
     }
 }
 
-/// A point-in-time capture of a [`Simulation`], including its RNG.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    agents: Vec<State>,
-    counts: Vec<u32>,
-    duplicate_rank_agents: u64,
-    extra_agents: u64,
-    interactions: u64,
-    productive: u64,
-    rng: Xoshiro256,
-}
-
-impl Snapshot {
-    /// The captured per-agent states.
-    pub fn agents(&self) -> &[State] {
-        &self.agents
-    }
-
-    /// The interaction count at capture time.
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-}
-
-impl<P: Protocol + ?Sized> std::fmt::Debug for Simulation<'_, P> {
+impl<P: Protocol + ?Sized, S: Scheduler> std::fmt::Debug for Simulation<'_, P, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("protocol", &self.protocol.name())
-            .field("n", &self.protocol.population_size())
+            .field("scheduler", &self.scheduler.describe())
+            .field("n", &self.agents.len())
             .field("interactions", &self.interactions)
             .field("silent", &self.is_silent())
             .finish()
@@ -558,7 +454,7 @@ impl<P: Protocol + ?Sized> std::fmt::Debug for Simulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, FnCountObserver};
+    use crate::schedule::ZipfScheduler;
 
     struct Ag {
         n: usize,
@@ -647,17 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_productive_step() {
-        let p = Ag { n: 6 };
-        let mut sim = Simulation::new(&p, vec![0; 6], 13).unwrap();
-        let mut seen = 0u64;
-        let mut obs = FnCountObserver(|_s, _b, _a, mult, _c: &[u32]| seen += mult);
-        let rep = sim.run_until_silent_observed(10_000_000, &mut obs).unwrap();
-        let _ = obs;
-        assert_eq!(seen, rep.productive_interactions);
-    }
-
-    #[test]
     fn fault_injection_updates_counters_and_recovers() {
         let p = Ag { n: 6 };
         let mut sim = Simulation::new(&p, (0..6).collect(), 17).unwrap();
@@ -673,7 +558,7 @@ mod tests {
         let p = Ag { n: 5 };
         let mut sim = Simulation::new(&p, vec![1; 5], 19).unwrap();
         sim.run_for(123);
-        assert_eq!(sim.interactions(), 123);
+        assert_eq!(sim.interactions_wide(), 123);
     }
 
     #[test]
@@ -693,8 +578,8 @@ mod tests {
         let mut sim = Simulation::new(&p, vec![0; 10], 31).unwrap();
         sim.run_for(500);
         let snap = sim.snapshot();
-        assert_eq!(snap.interactions(), 500);
-        assert_eq!(snap.agents(), sim.agents());
+        assert_eq!(snap.interactions_wide(), 500);
+        assert_eq!(snap.agents(), Some(sim.agents()));
 
         // Branch A: run to silence.
         let rep_a = sim.run_until_silent(u64::MAX).unwrap();
@@ -702,7 +587,7 @@ mod tests {
 
         // Branch B: restore and rerun — identical trajectory.
         sim.restore(&snap);
-        assert_eq!(sim.interactions(), 500);
+        assert_eq!(sim.interactions_wide(), 500);
         let rep_b = sim.run_until_silent(u64::MAX).unwrap();
         assert_eq!(rep_a, rep_b);
         assert_eq!(final_a, sim.agents());
@@ -710,25 +595,24 @@ mod tests {
 
     #[test]
     fn scheduled_steps_advance_clock_and_stabilise() {
-        use crate::schedule::UniformScheduler;
         let p = Ag { n: 10 };
-        let mut sim = Simulation::new(&p, vec![0; 10], 37).unwrap();
-        let mut sched = UniformScheduler::new(10);
-        sim.step_scheduled(&mut sched);
-        assert_eq!(sim.interactions(), 1);
-        let rep = sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
+        let mut sim = Simulation::new(&p, vec![0; 10], 37)
+            .unwrap()
+            .with_scheduler(ZipfScheduler::new(10, 1.0));
+        sim.step();
+        assert_eq!(sim.interactions_wide(), 1);
+        let rep = sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.verify_silent());
         assert!(rep.interactions_wide >= u128::from(rep.productive_interactions));
     }
 
     #[test]
-    fn scheduled_run_reports_timeout() {
-        use crate::schedule::UniformScheduler;
+    #[should_panic(expected = "scheduler population mismatch")]
+    fn scheduler_must_match_the_population() {
         let p = Ag { n: 10 };
-        let mut sim = Simulation::new(&p, vec![0; 10], 41).unwrap();
-        let mut sched = UniformScheduler::new(10);
-        let err = sim.run_until_silent_scheduled(3, &mut sched).unwrap_err();
-        assert!(err.interactions >= 3);
+        let _ = Simulation::new(&p, vec![0; 10], 43)
+            .unwrap()
+            .with_scheduler(ZipfScheduler::new(9, 1.0));
     }
 
     #[test]

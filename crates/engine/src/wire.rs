@@ -20,8 +20,9 @@
 //! ```
 //!
 //! Decoding validates, in order: length, magic, version, checksum, schema
-//! hash against the expected [`SnapshotShape`], then shape fields — every
-//! failure is a typed [`SnapshotDecodeError`], never a panic. The schema
+//! hash against the expected [`SnapshotShape`], then shape fields, then
+//! the agent vector against the counts — every failure is a typed
+//! [`SnapshotDecodeError`], never a panic. The schema
 //! hash makes a checkpoint refuse to restore into a *different* protocol
 //! (or a recompiled one whose declared classes changed), which is the
 //! safety property the service checkpoint store relies on.
@@ -84,10 +85,14 @@ pub enum SnapshotDecodeError {
         /// Hash recorded in the snapshot.
         got: u64,
     },
-    /// A shape field disagrees with the restoring protocol.
+    /// A shape field disagrees with the restoring protocol, or the agent
+    /// vector disagrees with the counts.
     ShapeMismatch {
-        /// Which field disagrees (`"num_states"`, `"population"`, or
-        /// `"counts_sum"`).
+        /// Which field disagrees: `"num_states"`, `"population"`,
+        /// `"counts_sum"`, `"agent_state"` (an agent's state id is not
+        /// below `expected`, the number of states) or `"agent_tally"`
+        /// (the agents in some state number `got`, its count says
+        /// `expected`).
         field: &'static str,
         /// Value the restoring protocol requires.
         expected: u64,
@@ -315,9 +320,27 @@ impl EngineSnapshot {
             });
         }
         let agents = if flags & 1 != 0 {
+            // The checksum is no authenticity check: a forged blob can
+            // carry agents the counts do not describe, which a restored
+            // naive engine would index out of range.
             let mut agents = Vec::with_capacity(population as usize);
+            let mut tally = vec![0u32; counts.len()];
             for _ in 0..population {
-                agents.push(r.u32()?);
+                let a = r.u32()?;
+                let slot = tally.get_mut(a as usize).ok_or(SnapshotDecodeError::ShapeMismatch {
+                    field: "agent_state",
+                    expected: num_states as u64,
+                    got: a as u64,
+                })?;
+                *slot += 1;
+                agents.push(a);
+            }
+            if let Some(s) = (0..counts.len()).find(|&s| tally[s] != counts[s]) {
+                return Err(SnapshotDecodeError::ShapeMismatch {
+                    field: "agent_tally",
+                    expected: counts[s] as u64,
+                    got: tally[s] as u64,
+                });
             }
             Some(agents)
         } else {
@@ -361,6 +384,7 @@ mod tests {
     use super::*;
     use crate::engine::{make_engine, EngineKind};
     use crate::protocol::{ClassSpec, Protocol, State};
+    use proptest::prelude::*;
 
     struct Ag {
         n: usize,
@@ -551,5 +575,73 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A forged blob (checksum recomputed by `to_wire`) whose agent vector
+    /// disagrees with its counts is rejected instead of being restored
+    /// into a naive engine that would index out of range.
+    #[test]
+    fn rejects_forged_agent_vectors() {
+        let (snap, p) = mid_run_snapshot(EngineKind::Naive, 64, 10);
+        let shape = SnapshotShape::of(&p);
+        let first = snap.agents.as_ref().unwrap()[0];
+        for (forged, field) in [(64, "agent_state"), (first ^ 1, "agent_tally")] {
+            let mut bad = snap.clone();
+            bad.agents.as_mut().unwrap()[0] = forged;
+            let err = EngineSnapshot::from_wire(&bad.to_wire(shape), shape).unwrap_err();
+            assert!(
+                matches!(err, SnapshotDecodeError::ShapeMismatch { field: f, .. } if f == field),
+                "{err:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, with or without the magic and version in
+        /// front, decode to an error and never panic.
+        #[test]
+        fn decode_is_total_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+            framed in any::<bool>(),
+        ) {
+            let p = Ag { n: 8 };
+            let mut blob = Vec::new();
+            if framed {
+                blob.extend_from_slice(MAGIC);
+                blob.extend_from_slice(&SNAPSHOT_WIRE_VERSION.to_le_bytes());
+            }
+            blob.extend_from_slice(&bytes);
+            prop_assert!(EngineSnapshot::from_wire(&blob, SnapshotShape::of(&p)).is_err());
+        }
+
+        /// Single-byte mutations of valid naive and count encodings, with
+        /// the checksum recomputed so they reach the field parsers, decode
+        /// to a typed error or to a snapshot the same engine kind restores
+        /// and steps without panicking.
+        #[test]
+        fn decode_is_total_on_mutated_encodings(
+            naive in any::<bool>(),
+            pos in 0usize..100_000,
+            flip in 1u32..256,
+        ) {
+            let kind = if naive { EngineKind::Naive } else { EngineKind::Count };
+            let (snap, p) = mid_run_snapshot(kind, 64, 10);
+            let shape = SnapshotShape::of(&p);
+            let mut wire = snap.to_wire(shape);
+            let body = wire.len() - 8;
+            wire[pos % body] ^= flip as u8;
+            let check = fnv1a(&wire[..body]);
+            wire[body..].copy_from_slice(&check.to_le_bytes());
+            if let Ok(decoded) = EngineSnapshot::from_wire(&wire, shape) {
+                let mut eng = make_engine(kind, &p, vec![0; p.n], 1).unwrap();
+                eng.restore(&decoded);
+                for _ in 0..64 {
+                    eng.advance();
+                }
+                prop_assert_eq!(eng.counts().iter().sum::<u32>(), 64);
+            }
+        }
     }
 }

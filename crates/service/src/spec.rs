@@ -183,6 +183,12 @@ impl JobSpec {
                 )));
             }
         }
+        if u64::from(self.byzantine) > self.n as u64 {
+            return Err(ServiceError::Spec(format!(
+                "{} byzantine agents do not fit in a population of {}",
+                self.byzantine, self.n
+            )));
+        }
         if let JobInit::KDistant(k) = self.init {
             if k >= self.n {
                 return Err(ServiceError::Spec(format!(
@@ -737,5 +743,11 @@ mod tests {
         assert!(unbounded.validate().is_err(), "persistent plan needs a cap");
         unbounded.max_interactions = 1_000_000;
         assert!(unbounded.validate().is_ok());
+        let mut crowded = JobSpec::new("ring", 4, 1);
+        crowded.max_interactions = 1_000;
+        crowded.byzantine = 4;
+        assert!(crowded.validate().is_ok(), "every agent may be stuck");
+        crowded.byzantine = 10;
+        assert!(matches!(crowded.validate(), Err(ServiceError::Spec(_))));
     }
 }

@@ -276,6 +276,46 @@ fn daemon_quarantines_bad_specs() {
     ));
 }
 
+/// A spec with more Byzantine agents than the population (which the
+/// fault executor would reject with a panic inside the worker) fails
+/// into `failed/` with its reason instead of wedging in `running/`, and
+/// the job behind it still completes.
+#[test]
+fn daemon_fails_overfull_byzantine_specs() {
+    let dir = temp_dir("daemon-byzantine");
+    let mut poison = JobSpec::new("ring", 4, 1);
+    poison.byzantine = 10;
+    poison.max_interactions = 1_000;
+    assert!(submit_job(&dir, &poison).is_err(), "submit validates");
+    // Spool it directly, the way a hand-written job file arrives.
+    let poison_key = poison.key().unwrap();
+    std::fs::create_dir_all(dir.join("pending")).unwrap();
+    std::fs::write(
+        dir.join("pending").join(format!("{}.job", poison_key.hex())),
+        poison.encode(),
+    )
+    .unwrap();
+    let good = tree_job(4_096, 9);
+    let key = submit_job(&dir, &good).unwrap();
+
+    let stats = daemon_run(Daemon::new(DaemonConfig::new(&dir)).unwrap());
+    assert_eq!((stats.failed, stats.completed), (1, 1));
+    let reason = std::fs::read_to_string(
+        dir.join("failed").join(format!("{}.err", poison_key.hex())),
+    )
+    .unwrap();
+    assert!(reason.contains("byzantine"), "reason: {reason}");
+    assert!(matches!(
+        daemon::job_status(&dir, poison_key),
+        daemon::JobStatus::Failed
+    ));
+    assert!(matches!(
+        daemon::job_status(&dir, key),
+        daemon::JobStatus::Done { .. }
+    ));
+    assert_eq!(std::fs::read_dir(dir.join("running")).unwrap().count(), 0);
+}
+
 /// The cache key guards against engine-kind aliasing: `auto` at
 /// n ≥ 4096 *is* `count`, so the explicit spec hits the auto spec's
 /// cached result — but `jump` is a different stepping discipline and must

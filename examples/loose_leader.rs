@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sim = Simulation::new(&loose, start, 11)?;
         let budget = 20_000_000u64;
         let mut lost_at = None;
-        while sim.interactions() < budget {
+        while sim.interactions_wide() < u128::from(budget) {
             sim.run_for(64);
             if loose.leader_count(sim.counts()) != 1 {
                 lost_at = Some(sim.parallel_time());

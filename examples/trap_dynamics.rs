@@ -50,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut checkpoint = 1_000u64;
     while !sim.is_silent() {
-        let budget = checkpoint.saturating_sub(sim.interactions());
+        let budget = u64::try_from(u128::from(checkpoint).saturating_sub(sim.interactions_wide()))?;
         sim.run_for(budget);
         println!(
             "{:>10}  {}   K = {}  tidy = {}",
-            sim.interactions(),
+            sim.interactions_wide(),
             render(&protocol, sim.counts()),
             protocol.weight_k(sim.counts()),
             protocol.is_tidy(sim.counts()),
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nsilent after {} interactions (parallel time {:.0}); every trap \
          fully stabilised",
-        sim.interactions(),
+        sim.interactions_wide(),
         sim.parallel_time()
     );
     Ok(())

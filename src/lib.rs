@@ -64,9 +64,7 @@ pub use ssr_topology as topology;
 /// Convenient glob-import surface covering the common workflow:
 /// pick a protocol, build a start configuration, simulate, analyse.
 pub mod prelude {
-    pub use ssr_analysis::{
-        fit_power_law, stats::Summary, sweep::sweep, sweep::SweepOptions, Table,
-    };
+    pub use ssr_analysis::{fit_power_law, stats::Summary, sweep::sweep, Table};
     pub use ssr_analysis::{verify_stability, Ecdf, StabilityCertificate};
     pub use ssr_core::{
         elect_leader, GenericRanking, LineOfTraps, LooseLeaderElection, RingOfTraps,

@@ -97,13 +97,14 @@ fn fault_distance_matches_paper_k_distance_definition() {
 // Scheduler robustness: correctness is scheduler-independent.
 // ---------------------------------------------------------------------
 
-fn stabilises_under<S: Scheduler>(p: &dyn Protocol, mut sched: S, seed: u64) {
+fn stabilises_under<S: Scheduler>(p: &dyn Protocol, sched: S, seed: u64) {
     let n = p.population_size();
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let start = init::uniform_random(n, p.num_states(), &mut rng);
-    let mut sim = Simulation::new(p, start, seed).unwrap();
-    sim.run_until_silent_scheduled(u64::MAX, &mut sched)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name(), sched.describe()));
+    let describe = sched.describe();
+    let mut sim = Simulation::new(p, start, seed).unwrap().with_scheduler(sched);
+    sim.run_until_silent(u64::MAX)
+        .unwrap_or_else(|e| panic!("{} under {describe}: {e}", p.name()));
     assert!(init::is_perfect_ranking(sim.agents(), n));
 }
 
@@ -130,31 +131,19 @@ fn tree_stabilises_under_skewed_schedulers() {
 
 #[test]
 fn uniform_scheduler_trait_matches_builtin_loop() {
-    // Same protocol, same seed grid: the trait-driven uniform scheduler
-    // must produce the same stabilisation-time *distribution* as the
-    // builtin loop (they consume randomness differently, so compare
-    // means, not trajectories).
+    // The uniform scheduler is the built-in draw: same seed, same
+    // trajectory.
     let p = GenericRanking::new(12);
-    let trials = 200u64;
-    let mean_builtin: f64 = (0..trials)
-        .map(|s| {
-            let mut sim = Simulation::new(&p, vec![0; 12], 500 + s).unwrap();
-            sim.run_until_silent(u64::MAX).unwrap().interactions_wide as f64
-        })
-        .sum::<f64>()
-        / trials as f64;
-    let mean_trait: f64 = (0..trials)
-        .map(|s| {
-            let mut sim = Simulation::new(&p, vec![0; 12], 9_500 + s).unwrap();
-            let mut sched = UniformScheduler::new(12);
-            sim.run_until_silent_scheduled(u64::MAX, &mut sched)
-                .unwrap()
-                .interactions_wide as f64
-        })
-        .sum::<f64>()
-        / trials as f64;
-    let rel = (mean_builtin - mean_trait).abs() / mean_builtin;
-    assert!(rel < 0.15, "builtin {mean_builtin:.0} vs trait {mean_trait:.0}");
+    for s in 0..50u64 {
+        let mut builtin = Simulation::new(&p, vec![0; 12], 500 + s).unwrap();
+        let mut scheduled = Simulation::new(&p, vec![0; 12], 500 + s)
+            .unwrap()
+            .with_scheduler(UniformScheduler::new(12));
+        let a = builtin.run_until_silent(u64::MAX).unwrap();
+        let b = scheduled.run_until_silent(u64::MAX).unwrap();
+        assert_eq!(a, b, "seed {}", 500 + s);
+        assert_eq!(builtin.agents(), scheduled.agents());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -165,14 +154,13 @@ fn uniform_scheduler_trait_matches_builtin_loop() {
 fn loose_election_converges_under_clustered_scheduler() {
     let n = 40;
     let p = LooseLeaderElection::new(n);
-    let mut sched = ClusteredScheduler::new(n, n / 2, 0.1);
-    let mut sim = Simulation::new(&p, vec![p.leader_state(); n], 21).unwrap();
-    let cap = 5_000_000u64;
+    let mut sim = Simulation::new(&p, vec![p.leader_state(); n], 21)
+        .unwrap()
+        .with_scheduler(ClusteredScheduler::new(n, n / 2, 0.1));
+    let cap = 5_000_000;
     while p.leader_count(sim.counts()) != 1 {
-        assert!(sim.interactions() < cap, "no convergence under clustering");
-        for _ in 0..64 {
-            sim.step_scheduled(&mut sched);
-        }
+        assert!(sim.interactions_wide() < cap, "no convergence under clustering");
+        sim.run_for(64);
     }
 }
 
@@ -191,9 +179,9 @@ fn loose_election_survives_fault_bursts() {
         }
     }
     // After the last burst the protocol must re-converge to one leader.
-    let cap = sim.interactions() + 50_000_000;
+    let cap = sim.interactions_wide() + 50_000_000;
     while p.leader_count(sim.counts()) != 1 {
-        assert!(sim.interactions() < cap, "no re-convergence after faults");
+        assert!(sim.interactions_wide() < cap, "no re-convergence after faults");
         sim.run_for(64);
     }
 }
@@ -258,5 +246,65 @@ fn jump_and_naive_recovery_times_agree_distributionally() {
         "jump vs naive recovery distributions differ: D = {:.3}, p = {:.4}",
         ks.statistic,
         ks.p_value
+    );
+}
+
+// ---------------------------------------------------------------------
+// Golden pins: per-seed trajectories of the scheduled naive runs and of
+// one sweep grid point. Only the calls may change, never the numbers.
+// ---------------------------------------------------------------------
+
+/// `(interactions, productive, Σ i·state_i)` of a naive ring run from a
+/// fixed uniform start; the last entry pins which agent took which rank.
+fn naive_pin<S: Scheduler>(sched: S) -> (u128, u64, u64) {
+    let p = RingOfTraps::new(24);
+    let mut rng = Xoshiro256::seed_from_u64(77);
+    let start = init::uniform_random(24, p.num_states(), &mut rng);
+    let mut sim = Simulation::new(&p, start, 78).unwrap().with_scheduler(sched);
+    let rep = sim.run_until_silent(u64::MAX).unwrap();
+    let placement = sim.agents().iter().enumerate().map(|(i, &s)| i as u64 * u64::from(s)).sum();
+    (rep.interactions_wide, rep.productive_interactions, placement)
+}
+
+#[test]
+fn golden_pins_scheduled_runs_and_a_sweep_row() {
+    let uniform = naive_pin(UniformScheduler::new(24));
+    let zipf = naive_pin(ZipfScheduler::new(24, 1.0));
+    let clustered = naive_pin(ClusteredScheduler::new(24, 12, 0.1));
+    assert_eq!(uniform, (8_579, 90, 3_418));
+    assert_eq!(zipf, (34_333, 90, 3_047));
+    assert_eq!(clustered, (35_537, 90, 3_079));
+
+    // exp_theorem3's stacked tree grid point (base seed 900), 4 trials;
+    // the per-trial values come from the scenario the sweep builds.
+    let trials = std::cell::RefCell::new(Vec::new());
+    let res = sweep(
+        &[256.0],
+        |x| TreeRanking::new(x as usize),
+        |p, _seed| vec![0; p.population_size()],
+        900,
+        |s| {
+            let s = s.trials(4);
+            *trials.borrow_mut() = s
+                .run()
+                .reports()
+                .iter()
+                .map(|r| {
+                    let r = r.as_ref().unwrap();
+                    (r.interactions_wide, r.productive_interactions)
+                })
+                .collect::<Vec<_>>();
+            s
+        },
+    );
+    let row = &res.rows[0];
+    let trials = trials.into_inner();
+    assert_eq!(
+        trials,
+        [(133_508, 1_024), (108_507, 1_024), (103_361, 1_024), (99_618, 1_024)]
+    );
+    assert_eq!(
+        (row.mean, row.median, row.p95, row.max, row.success_rate),
+        (434.564453125, 413.8046875, 506.8666015625, 521.515625, 1.0)
     );
 }

@@ -182,9 +182,10 @@ proptest! {
     ) {
         let n = 16;
         let p = GenericRanking::new(n);
-        let mut sched = ZipfScheduler::new(n, theta);
-        let mut sim = Simulation::new(&p, vec![0; n], seed).unwrap();
-        sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
+        let mut sim = Simulation::new(&p, vec![0; n], seed)
+            .unwrap()
+            .with_scheduler(ZipfScheduler::new(n, theta));
+        sim.run_until_silent(u64::MAX).unwrap();
         prop_assert!(init::is_perfect_ranking(sim.agents(), n));
     }
 }
