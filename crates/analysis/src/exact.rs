@@ -59,7 +59,8 @@ impl std::fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
-type Counts = Vec<u16>;
+/// A configuration as per-state occupancy counts.
+pub(crate) type Counts = Vec<u16>;
 
 fn counts_of(config: &[State], num_states: usize) -> Counts {
     let mut c = vec![0u16; num_states];
@@ -71,7 +72,7 @@ fn counts_of(config: &[State], num_states: usize) -> Counts {
 
 /// All productive transitions out of a configuration, grouped by target:
 /// `(target counts, number of ordered agent pairs realising it)`.
-fn transitions<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<(Counts, u64)> {
+pub(crate) fn transitions<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<(Counts, u64)> {
     let mut out: HashMap<Counts, u64> = HashMap::new();
     let occupied: Vec<usize> = (0..c.len()).filter(|&s| c[s] > 0).collect();
     for &a in &occupied {

@@ -41,7 +41,8 @@
 //! # }
 //! ```
 
-use ssr_engine::protocol::{Protocol, State};
+use crate::exact::Counts;
+use ssr_engine::protocol::Protocol;
 use std::collections::HashMap;
 
 /// Proof object returned by a successful [`verify_stability`] run.
@@ -117,8 +118,6 @@ impl std::fmt::Display for ModelCheckError {
 
 impl std::error::Error for ModelCheckError {}
 
-type Counts = Vec<u16>;
-
 /// Number of multisets of size `n` over `s` states, `C(n+s−1, n)`,
 /// saturating at `u128::MAX`.
 fn multiset_count(n: usize, s: usize) -> u128 {
@@ -153,32 +152,6 @@ fn fill(counts: &mut [u16], idx: usize, remaining: u16, f: &mut impl FnMut(&[u16
         fill(counts, idx + 1, remaining - v, f);
     }
     counts[idx] = 0;
-}
-
-/// Distinct successor configurations of `c` under one productive
-/// interaction (deduplicated; multiplicities are irrelevant for
-/// reachability).
-fn successors<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<Counts> {
-    let mut out: Vec<Counts> = Vec::new();
-    let occupied: Vec<usize> = (0..c.len()).filter(|&s| c[s] > 0).collect();
-    for &a in &occupied {
-        for &b in &occupied {
-            if a == b && c[a] < 2 {
-                continue;
-            }
-            if let Some((a2, b2)) = p.transition(a as State, b as State) {
-                let mut next = c.clone();
-                next[a] -= 1;
-                next[b] -= 1;
-                next[a2 as usize] += 1;
-                next[b2 as usize] += 1;
-                if !out.contains(&next) {
-                    out.push(next);
-                }
-            }
-        }
-    }
-    out
 }
 
 fn is_perfect_ranking_counts(c: &Counts, num_ranks: usize) -> bool {
@@ -228,7 +201,9 @@ pub fn verify_stability<P: Protocol + ?Sized>(
     let mut transitions: u64 = 0;
     let num_ranks = p.num_rank_states();
     for (i, c) in configs.iter().enumerate() {
-        let succ = successors(p, c);
+        // Distinct successors under one productive interaction; the pair
+        // multiplicities are irrelevant for reachability.
+        let succ = crate::exact::transitions(p, c);
         let ranked = is_perfect_ranking_counts(c, num_ranks);
         if succ.is_empty() {
             if !ranked {
@@ -239,9 +214,8 @@ pub fn verify_stability<P: Protocol + ?Sized>(
             return Err(ModelCheckError::PerfectRankingNotSilent);
         }
         transitions += succ.len() as u64;
-        for t in succ {
-            let j = index[&t];
-            reverse[j].push(i);
+        for (t, _) in succ {
+            reverse[index[&t]].push(i);
         }
     }
 
@@ -276,6 +250,7 @@ mod tests {
     use ssr_core::line::LineOfTraps;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
+    use ssr_engine::protocol::State;
 
     #[test]
     fn multiset_count_matches_binomials() {

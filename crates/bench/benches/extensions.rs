@@ -40,7 +40,7 @@ fn bench_fault_recovery(c: &mut Criterion) {
     group.bench_function("ring_n110_f4", |b| {
         b.iter(|| {
             seed += 1;
-            recovery_after_faults(&p, 4, seed, u64::MAX).unwrap()
+            recovery_after_faults(&p, 4, seed, u64::MAX)
         })
     });
     group.finish();

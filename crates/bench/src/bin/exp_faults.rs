@@ -26,17 +26,16 @@ use ssr_engine::{InteractionSchema, Protocol};
 
 fn recovery_times<P: InteractionSchema>(
     p: &P,
-    faults: usize,
+    faults: u32,
     n_trials: usize,
     base_seed: u64,
 ) -> (Vec<f64>, f64) {
     let mut times = Vec::with_capacity(n_trials);
     let mut distance_sum = 0usize;
     for t in 0..n_trials as u64 {
-        let rep = recovery_after_faults(p, faults, base_seed + t, u64::MAX)
-            .expect("no interaction cap");
-        times.push(rep.recovered.parallel_time);
-        distance_sum += rep.distance_after_faults;
+        let outcome = recovery_after_faults(p, faults, base_seed + t, u64::MAX);
+        times.push(outcome.report.parallel_time);
+        distance_sum += outcome.bursts[0].k_after;
     }
     (times, distance_sum as f64 / n_trials as f64)
 }
@@ -59,14 +58,14 @@ fn main() {
         "max T".into(),
     ]);
     let ring = RingOfTraps::new(n);
-    let fs: Vec<usize> = if ssr_bench::quick() {
+    let fs: Vec<u32> = if ssr_bench::quick() {
         vec![1, 4, 16]
     } else {
         vec![1, 2, 4, 8, 16, 32, 64, 128]
     };
     let mut medians = Vec::new();
     for &f in &fs {
-        let (times, mean_k) = recovery_times(&ring, f, t, 9_000 + f as u64);
+        let (times, mean_k) = recovery_times(&ring, f, t, 9_000 + u64::from(f));
         let s = Summary::of(&times);
         medians.push(s.median);
         table.add_row(vec![
@@ -88,7 +87,7 @@ fn main() {
     );
 
     // (2) Fixed f, sweep n.
-    let f = 4usize;
+    let f = 4u32;
     println!("\n[ring of traps, f = {f}: recovery parallel time vs n]");
     let ns = grid(&[110.0, 240.0, 506.0, 1056.0, 2162.0], &[110.0, 240.0]);
     let mut table = Table::new(vec!["n".into(), "median T".into(), "max T".into()]);
@@ -113,7 +112,7 @@ fn main() {
     verdict("EF recovery exponent (few faults)", fit.exponent, 1.0, 1.8);
 
     // (3) Cross-protocol healing at fixed (n, f).
-    let f = 8usize;
+    let f = 8u32;
     println!("\n[cross-protocol: median recovery at n = {n}, f = {f}]");
     let mut table = Table::new(vec![
         "protocol".into(),

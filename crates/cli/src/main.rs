@@ -127,21 +127,18 @@ fn parse_fault_plan(a: &Args) -> Result<Option<FaultPlan>, String> {
 }
 
 fn cmd_run(a: &Args) -> Result<(), String> {
-    let n = a.usize_or("n", 100)?;
-    let p = make_protocol(&a.str_or("protocol", "tree"), n)?;
-    let seed = a.u64_or("seed", 1)?;
-    let max = a.u64_or("max", u64::MAX)?;
-    let threads = a.usize_or("threads", 0)?;
-    let kind = engine_kind(a)?;
+    // The same flags `submit` takes, checked by the same validation.
+    let spec = parse_job_spec(a)?;
+    let (n, seed, kind) = (spec.n, spec.seed, spec.engine);
+    let p = spec.make_protocol().map_err(|e| e.to_string())?;
     let start = make_start(p.as_ref(), &a.str_or("start", "uniform"), a.usize_or("k", 1)?, seed)?;
     let make = move |_seed| start.clone();
-    let plan = parse_fault_plan(a)?;
     let scenario = Scenario::new(p.as_ref())
         .engine(kind)
         .init(Init::Custom(&make))
         .base_seed(seed)
-        .max_interactions(max)
-        .threads(threads);
+        .max_interactions(spec.max_interactions)
+        .threads(spec.threads);
     println!(
         "{}: n = {n}, {} states ({} extra), seed {seed}, engine {} ({kind})",
         p.name(),
@@ -149,14 +146,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         p.num_extra_states(),
         kind.resolve(n)
     );
-    if let Some(plan) = plan {
-        if plan.may_never_silence() && max == u64::MAX {
-            return Err(
-                "this fault plan has a persistent process (rate/churn/byzantine) and can \
-                 run forever; set a finite --max"
-                    .to_string(),
-            );
-        }
+    if let Some(plan) = spec.fault_plan() {
         let outcome = scenario.fault_plan(plan).run_outcome(0);
         if outcome.silent {
             println!(
@@ -317,16 +307,18 @@ fn cmd_check(a: &Args) -> Result<(), String> {
 fn cmd_faults(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
     let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
-    let faults = a.usize_or("faults", 4)?;
+    let faults = a.u64_or("faults", 4)?;
+    let faults = u32::try_from(faults)
+        .map_err(|_| format!("--faults must be at most {}, got {faults}", u32::MAX))?;
     let trials = a.u64_or("trials", 10)?;
     let seed = a.u64_or("seed", 1)?;
     let mut times = Vec::with_capacity(trials as usize);
     let mut ks = Vec::with_capacity(trials as usize);
     for t in 0..trials {
-        let rep = ssr_engine::recovery_after_faults(p.as_ref(), faults, derive_seed(seed, t), u64::MAX)
-            .map_err(|e| e.to_string())?;
-        times.push(rep.recovered.parallel_time);
-        ks.push(rep.distance_after_faults as f64);
+        let outcome =
+            ssr_engine::recovery_after_faults(p.as_ref(), faults, derive_seed(seed, t), u64::MAX);
+        times.push(outcome.report.parallel_time);
+        ks.push(outcome.bursts[0].k_after as f64);
     }
     let st = Summary::of(&times);
     let sk = Summary::of(&ks);
@@ -723,6 +715,28 @@ mod tests {
         // Invalid combinations are rejected at parse time.
         assert!(parse_job_spec(&args(&["submit", "--protocol", "warp"])).is_err());
         assert!(parse_job_spec(&args(&["submit", "--churn", "0.1"])).is_err());
+    }
+
+    #[test]
+    fn run_rejects_what_submit_rejects() {
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        // More stuck-at agents than the population: an error, not a panic.
+        let byz = args(&[
+            "run", "--protocol", "ring", "--n", "4", "--byzantine", "10", "--max", "1000",
+        ]);
+        assert!(cmd_run(&byz).unwrap_err().contains("byzantine"));
+        // A persistent process with no finite budget.
+        let unbounded = args(&["run", "--protocol", "ring", "--n", "8", "--churn", "0.1"]);
+        assert!(cmd_run(&unbounded).unwrap_err().contains("finite budget"));
+    }
+
+    #[test]
+    fn faults_rejects_a_burst_wider_than_u32() {
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        let a = args(&[
+            "faults", "--protocol", "ring", "--n", "8", "--faults", "4294967296",
+        ]);
+        assert!(cmd_faults(&a).unwrap_err().contains("--faults"));
     }
 
     #[test]

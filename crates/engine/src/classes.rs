@@ -70,13 +70,13 @@ const BLOCK: usize = 64;
 
 /// Complete binary weight tree over `u64` weights: `O(log n)` point
 /// updates, `O(1)` totals, `O(log n)` weighted sampling, and — the reason
-/// it exists next to [`Fenwick`](crate::fenwick::Fenwick) — recursive
-/// multinomial **splitting** of a batch over all weighted slots in
-/// `O(occupied)` binomial draws.
+/// it exists next to the reference tree in [`fenwick`](crate::fenwick) —
+/// recursive multinomial **splitting** of a batch over all weighted slots
+/// in `O(occupied)` binomial draws.
 ///
 /// `sample` maps a target offset to the slot containing it in prefix-sum
-/// order, exactly like [`Fenwick::sample`](crate::fenwick::Fenwick::sample),
-/// so the two structures are interchangeable draw-for-draw.
+/// order, exactly like the [`fenwick`](crate::fenwick) reference it is
+/// tested against, so the two structures are interchangeable draw-for-draw.
 #[derive(Debug, Clone)]
 pub struct WeightTree {
     /// Number of leaves (padded to a power of two).
@@ -200,8 +200,8 @@ impl WeightTree {
     }
 
     /// Slot containing offset `target` when weights are laid end to end
-    /// (identical mapping to
-    /// [`Fenwick::sample`](crate::fenwick::Fenwick::sample)).
+    /// (the prefix-sum mapping of the [`fenwick`](crate::fenwick)
+    /// reference).
     ///
     /// # Panics
     ///

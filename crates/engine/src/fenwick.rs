@@ -1,11 +1,11 @@
 //! Fenwick (binary indexed) tree over `u64` weights with O(log n) point
 //! updates and O(log n) weighted sampling.
 //!
-//! The fault executor samples burst victims through one over the
-//! occupancy counts, and it is the reference the count engine's weight
-//! trees are tested against: both need fast "sample an index
-//! proportional to weight" queries, which the classic Fenwick descend
-//! provides.
+//! Nothing in the engine samples through it any more: it is the test
+//! reference for the count engine's weight trees and for the fault
+//! executor's linear occupancy scan, which must pick the same index from
+//! the same draw ("sample an index proportional to weight" in prefix-sum
+//! order, which the classic Fenwick descend provides).
 //!
 //! # Examples
 //!

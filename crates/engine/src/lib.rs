@@ -80,7 +80,9 @@
 //! * [`init`] — initial-configuration generators (`k`-distant, uniform
 //!   random, stacked, …).
 //! * [`observer`] — the fault-plan recovery tracker.
-//! * [`rng`], [`fenwick`] — deterministic RNG and weighted sampling.
+//! * [`rng`] — deterministic RNG and its samplers.
+//! * [`fenwick`] — the reference weighted-sampling tree the weight trees
+//!   and the fault-victim scan are tested against.
 //!
 //! ## Quickstart
 //!
@@ -145,8 +147,7 @@ pub use engine::{
 };
 pub use error::{ConfigError, StabilisationTimeout};
 pub use faults::{
-    perturb_counts, rank_distance, recovery_after_faults, run_with_plan, BurstRecord, FaultPlan,
-    RecoveryReport, RunOutcome,
+    rank_distance, recovery_after_faults, run_with_plan, BurstRecord, FaultPlan, RunOutcome,
 };
 pub use observer::RecoveryTracker;
 pub use protocol::{

@@ -124,8 +124,8 @@ pub enum Init<'a> {
     /// Uniformly random over the protocol's full state space — the
     /// paper's "arbitrary initial configuration".
     Uniform,
-    /// The silent perfect ranking (combine with
-    /// [`Scenario::faults`] for corrupt-and-recover runs).
+    /// The silent perfect ranking (combine with a
+    /// [`FaultPlan::once`] burst for corrupt-and-recover runs).
     Perfect,
     /// A configuration at ranking distance exactly `k` (that many rank
     /// states unoccupied), duplicates placed randomly.
@@ -190,16 +190,6 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     pub fn init(mut self, init: Init<'a>) -> Self {
         self.init = init;
         self
-    }
-
-    /// Corrupt each trial's start with this many transient faults: every
-    /// fault rewrites one uniformly random agent to a uniformly random
-    /// state (possibly its own — real fault models do not guarantee
-    /// damage). Sugar for [`fault_plan`](Self::fault_plan) with
-    /// [`FaultPlan::once`]; zero clears the plan.
-    pub fn faults(self, faults: usize) -> Self {
-        let plan = (faults > 0).then(|| FaultPlan::once(faults as u32));
-        Self { plan, ..self }
     }
 
     /// Attach a timed [`FaultPlan`] executed deterministically against
@@ -642,7 +632,7 @@ mod tests {
         let p = Ag { n: 20 };
         let s = Scenario::new(&p)
             .init(Init::Perfect)
-            .faults(5)
+            .fault_plan(FaultPlan::once(5))
             .trials(10)
             .base_seed(31);
         // With faults the start is (almost surely) not silent; recovery
@@ -735,7 +725,8 @@ mod tests {
         }
         // Fault plans execute against the engine, so they no longer
         // force the agent-vector path.
-        assert!(Scenario::new(&p).faults(1).trial_counts(0).is_some());
+        let faulted = Scenario::new(&p).fault_plan(FaultPlan::once(1));
+        assert!(faulted.trial_counts(0).is_some());
         assert!(Scenario::new(&p).init(Init::KDistant(2)).trial_counts(0).is_none());
     }
 

@@ -22,11 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ring = RingOfTraps::new(n);
     println!("ring of traps (state-optimal): recovery cost vs faults");
     println!("{:>8} {:>8} {:>14}", "faults", "k-dist", "parallel time");
-    for f in [1usize, 4, 16, 64] {
-        let rep = recovery_after_faults(&ring, f, 42 + f as u64, u64::MAX)?;
+    for f in [1u32, 4, 16, 64] {
+        let outcome = recovery_after_faults(&ring, f, 42 + u64::from(f), u64::MAX);
         println!(
             "{:>8} {:>8} {:>14.0}",
-            f, rep.distance_after_faults, rep.recovered.parallel_time
+            f, outcome.bursts[0].k_after, outcome.report.parallel_time
         );
     }
 

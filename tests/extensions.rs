@@ -61,20 +61,47 @@ fn loose_protocol_fails_silence_checks_as_documented() {
 // Fault recovery across protocols.
 // ---------------------------------------------------------------------
 
+/// The counts right after `recovery_after_faults`' time-zero burst: the
+/// same engine and fault stream, run with a zero horizon so only the
+/// burst fires.
+fn counts_after_burst(p: &dyn InteractionSchema, f: u32, seed: u64) -> Vec<u32> {
+    let n = p.population_size();
+    let mut perfect = vec![0u32; p.num_states()];
+    perfect[..n].fill(1);
+    let mut engine = make_engine_from_counts(EngineKind::Auto, p, perfect, seed, 1).unwrap();
+    run_with_plan(engine.as_mut(), &FaultPlan::once(f), seed ^ 0x5eed_f417, 0);
+    engine.counts().to_vec()
+}
+
+/// Agents a burst moved out of the perfect ranking of `n` agents: half
+/// the L1 distance between the occupancy vectors.
+fn agents_moved(counts: &[u32], n: usize) -> usize {
+    let perfect = |s: usize| u32::from(s < n);
+    let l1: u32 = counts
+        .iter()
+        .enumerate()
+        .map(|(s, &c)| c.abs_diff(perfect(s)))
+        .sum();
+    l1 as usize / 2
+}
+
 #[test]
 fn all_protocols_recover_from_fault_bursts() {
     let n = 36;
     let gen = GenericRanking::new(n);
     let ring = RingOfTraps::new(n);
     let tree = TreeRanking::new(n);
-    for f in [1usize, 5, 18] {
-        for (name, rep) in [
-            ("generic", recovery_after_faults(&gen, f, 7, u64::MAX).unwrap()),
-            ("ring", recovery_after_faults(&ring, f, 7, u64::MAX).unwrap()),
-            ("tree", recovery_after_faults(&tree, f, 7, u64::MAX).unwrap()),
+    for f in [1u32, 5, 18] {
+        for (name, p) in [
+            ("generic", &gen as &dyn InteractionSchema),
+            ("ring", &ring),
+            ("tree", &tree),
         ] {
-            assert!(rep.faults_applied <= f, "{name}");
-            assert!(rep.distance_after_faults <= rep.faults_applied, "{name}");
+            let outcome = recovery_after_faults(p, f, 7, u64::MAX);
+            assert!(outcome.silent, "{name}");
+            let applied = agents_moved(&counts_after_burst(p, f, 7), n);
+            assert!(applied <= f as usize, "{name}");
+            assert!(outcome.bursts[0].k_after <= applied, "{name}");
         }
     }
 }
@@ -224,18 +251,14 @@ fn jump_and_naive_recovery_times_agree_distributionally() {
     let jump: Vec<f64> = (0..trials)
         .map(|s| {
             recovery_after_faults(&p, 6, 40_000 + s, u64::MAX)
-                .unwrap()
-                .recovered
+                .report
                 .parallel_time
         })
         .collect();
     let naive: Vec<f64> = (0..trials)
         .map(|s| {
-            // Reproduce the same corruption procedure, then run naively.
-            let mut counts = vec![1u32; n];
-            let mut rng = Xoshiro256::seed_from_u64((40_000 + s) ^ 0x5eed_f417);
-            ssr::engine::perturb_counts(&mut counts, n, 6, &mut rng);
-            let cfg = init::from_counts(&counts);
+            // Take the same corrupted configuration, then run naively.
+            let cfg = init::from_counts(&counts_after_burst(&p, 6, 40_000 + s));
             let mut sim = Simulation::new(&p, cfg, 90_000 + s).unwrap();
             sim.run_until_silent(u64::MAX).unwrap().parallel_time
         })
@@ -308,3 +331,82 @@ fn golden_pins_scheduled_runs_and_a_sweep_row() {
         (434.564453125, 413.8046875, 506.8666015625, 521.515625, 1.0)
     );
 }
+
+// ---------------------------------------------------------------------
+// Golden pins: per-seed corrupt-and-recover trajectories on the exact
+// chain (n = 506, exp_faults seeds) and the batched engine (ring
+// n = 4096, f = 8, `ssr faults` seeds). Only the calls may change, never
+// the numbers.
+// ---------------------------------------------------------------------
+
+/// `(interactions, productive, k after the burst)` of one
+/// corrupt-and-recover run from the silent perfect ranking.
+fn recovery_pin<P: InteractionSchema>(p: &P, f: u32, seed: u64) -> (u128, u64, usize) {
+    let outcome = recovery_after_faults(p, f, seed, u64::MAX);
+    let r = outcome.report;
+    (
+        r.interactions_wide,
+        r.productive_interactions,
+        outcome.bursts[0].k_after,
+    )
+}
+
+#[test]
+fn golden_pins_corrupt_and_recover() {
+    let n = 506;
+    let generic = GenericRanking::new(n);
+    let ring = RingOfTraps::new(n);
+    let tree = TreeRanking::new(n);
+    let mut got = Vec::new();
+    for f in [1u32, 8, 128] {
+        for t in 0..2u64 {
+            // exp_faults' ring sweep seeds, then its cross-protocol seeds.
+            got.push(recovery_pin(&ring, f, 9_000 + u64::from(f) + t));
+            got.push(recovery_pin(&generic, f, 13_000 + t));
+            got.push(recovery_pin(&ring, f, 13_100 + t));
+            got.push(recovery_pin(&tree, f, 13_200 + t));
+        }
+    }
+    let big = RingOfTraps::new(4096);
+    for t in 0..3 {
+        got.push(recovery_pin(&big, 8, ssr::engine::rng::derive_seed(1, t)));
+    }
+    assert_eq!(got, GOLDEN_RECOVERY);
+}
+
+/// Row order: for f = 1, 8, 128 and trial t = 0, 1 — ring (exp_faults
+/// sweep seed), A_G, ring, tree (exp_faults cross-protocol seeds); then
+/// ring n = 4096, f = 8 for trials 0..3.
+const GOLDEN_RECOVERY: &[(u128, u64, usize)] = &[
+    // n = 506, f = 1: trial 0, then trial 1.
+    (7_727_020, 560, 1),
+    (23_774_415, 191, 1),
+    (9_198_553, 810, 1),
+    (1_227_424, 25_634, 1),
+    (9_302_374, 693, 1),
+    (28_923_802, 233, 1),
+    (9_794_987, 820, 1),
+    (1_800_995, 26_616, 1),
+    // n = 506, f = 8: trial 0, then trial 1.
+    (16_183_362, 1_754, 8),
+    (35_583_204, 919, 8),
+    (22_505_192, 1_918, 8),
+    (1_200_793, 25_634, 8),
+    (14_848_379, 859, 8),
+    (45_753_756, 900, 8),
+    (14_787_199, 1_036, 8),
+    (1_295_863, 26_616, 8),
+    // n = 506, f = 128: trial 0, then trial 1.
+    (47_243_118, 5_601, 84),
+    (61_752_911, 5_004, 92),
+    (56_956_142, 7_402, 94),
+    (1_196_649, 25_634, 93),
+    (81_656_124, 10_994, 91),
+    (64_561_325, 4_631, 88),
+    (50_907_832, 5_755, 90),
+    (1_295_074, 26_616, 89),
+    // ring n = 4096, f = 8: trials 0, 1, 2.
+    (3_650_579_327, 12_790, 8),
+    (3_998_339_555, 12_921, 8),
+    (3_378_942_171, 13_044, 8),
+];

@@ -8,8 +8,17 @@
 use proptest::prelude::*;
 use ssr::analysis::bootstrap::{bootstrap_ci, BootstrapOptions};
 use ssr::analysis::ecdf::{Ecdf, Histogram};
-use ssr::engine::faults::{perturb_counts, rank_distance};
+use ssr::engine::faults::rank_distance;
 use ssr::prelude::*;
+
+/// Fire a one-shot burst of `faults` into the configuration `counts` of
+/// `p` and stop (a zero-horizon plan run): the corrupted counts and the
+/// run's outcome.
+fn burst(p: &GenericRanking, counts: Vec<u32>, faults: u32, seed: u64) -> (Vec<u32>, RunOutcome) {
+    let mut engine = make_engine_from_counts(EngineKind::Jump, p, counts, 0, 1).unwrap();
+    let outcome = run_with_plan(engine.as_mut(), &FaultPlan::once(faults), seed, 0);
+    (engine.counts().to_vec(), outcome)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -18,18 +27,19 @@ proptest! {
     /// the requested damage, for arbitrary occupancy landscapes.
     #[test]
     fn perturbation_conserves_population(
-        counts in prop::collection::vec(0u32..5, 2..40),
-        faults in 0usize..30,
+        states in prop::collection::vec(0usize..40, 2..40),
+        faults in 0u32..30,
         seed in any::<u64>(),
     ) {
-        let mut counts = counts;
-        counts[0] += 1; // ensure non-empty population
-        let total: u32 = counts.iter().sum();
-        let s = counts.len();
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let changed = perturb_counts(&mut counts, s, faults, &mut rng);
+        // An arbitrary configuration of n agents over A_G's n states.
+        let n = states.len();
+        let cfg: Vec<State> = states.iter().map(|&s| (s % n) as State).collect();
+        let before = init::counts(&cfg, n);
+        let (after, outcome) = burst(&GenericRanking::new(n), before.clone(), faults, seed);
+        let changed: u32 = before.iter().zip(&after).map(|(&a, &b)| a.abs_diff(b)).sum::<u32>() / 2;
+        prop_assert_eq!(outcome.faults_injected, u64::from(faults));
         prop_assert!(changed <= faults);
-        prop_assert_eq!(counts.iter().sum::<u32>(), total);
+        prop_assert_eq!(after.iter().sum::<u32>(), n as u32);
     }
 
     /// From a perfect ranking, `f` faults leave at most `f` rank states
@@ -37,16 +47,15 @@ proptest! {
     #[test]
     fn fault_distance_bounded_by_faults(
         n in 2usize..60,
-        faults in 0usize..20,
+        faults in 0u32..20,
         seed in any::<u64>(),
     ) {
-        let mut counts = vec![1u32; n];
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        perturb_counts(&mut counts, n, faults, &mut rng);
+        let (counts, outcome) = burst(&GenericRanking::new(n), vec![1u32; n], faults, seed);
         let k = rank_distance(&counts, n);
-        prop_assert!(k <= faults.min(n));
+        prop_assert!(k <= (faults as usize).min(n));
         let empties = counts.iter().filter(|&&c| c == 0).count();
         prop_assert_eq!(k, empties);
+        prop_assert_eq!(outcome.bursts[0].k_after, k);
     }
 
     /// Every scheduler yields ordered pairs of distinct in-range agents
@@ -161,16 +170,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever faults are injected into a silent generic population, the
-    /// jump simulator returns it to the unique silent configuration.
+    /// exact chain returns it to the unique silent configuration, and the
+    /// burst empties at most as many ranks as it moved agents.
     #[test]
     fn recovery_always_restores_perfect_ranking(
         n in 4usize..40,
-        faults in 1usize..12,
+        faults in 1u32..12,
         seed in any::<u64>(),
     ) {
         let p = GenericRanking::new(n);
-        let rep = ssr::engine::recovery_after_faults(&p, faults, seed, u64::MAX).unwrap();
-        prop_assert!(rep.distance_after_faults <= rep.faults_applied);
+        let outcome = recovery_after_faults(&p, faults, seed, u64::MAX);
+        prop_assert!(outcome.silent);
+        // The same burst (recovery_after_faults' fault stream), stopped
+        // right after it fires.
+        let (after, _) = burst(&p, vec![1; n], faults, seed ^ 0x5eed_f417);
+        let applied = after.iter().map(|&c| c.saturating_sub(1)).sum::<u32>();
+        prop_assert!(applied <= faults);
+        prop_assert!(outcome.bursts[0].k_after <= applied as usize);
     }
 
     /// The generic protocol stabilises under arbitrary Zipf skew (time
