@@ -31,7 +31,9 @@ use ssr_engine::{
     CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol, Scenario,
     State,
 };
-use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
+use ssr_service::{
+    daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec, DEFAULT_CHECKPOINT_EVERY,
+};
 
 /// The four ranking protocols behind one object-safe schema handle.
 fn make_protocol(kind: &str, n: usize) -> Result<Box<dyn InteractionSchema + Sync>, String> {
@@ -396,7 +398,8 @@ fn spool_dir(a: &Args) -> Result<std::path::PathBuf, String> {
 fn cmd_serve(a: &Args) -> Result<(), String> {
     let mut cfg = DaemonConfig::new(spool_dir(a)?);
     cfg.cores = a.usize_or("cores", 0)?;
-    cfg.checkpoint_every = a.u64_or("checkpoint-every", 1 << 22)? as u128;
+    let every = u64::try_from(DEFAULT_CHECKPOINT_EVERY).unwrap_or(u64::MAX);
+    cfg.checkpoint_every = a.u64_or("checkpoint-every", every)?.into();
     cfg.poll_ms = a.u64_or("poll-ms", 20)?;
     cfg.drain = a.str_or("drain", "false") == "true";
     cfg.max_jobs = match a.usize_or("max-jobs", 0)? {
@@ -555,8 +558,10 @@ commands:
                                                jobs across N cores (admission
                                                via the engine's thread-split
                                                policy), checkpoints every K
-                                               interactions so killed jobs
-                                               resume bit-identically, and
+                                               productive interactions
+                                               (default 2^22; 0 = off) so
+                                               killed jobs resume
+                                               bit-identically, and
                                                serves repeated jobs from a
                                                keyed result cache; --drain
                                                exits once the queue is empty

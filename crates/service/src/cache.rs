@@ -8,6 +8,7 @@
 //! optimisation, never an oracle.
 
 use crate::spec::{JobKey, JobResult};
+use crate::write_durably;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -41,16 +42,13 @@ impl ResultCache {
         JobResult::decode(&text).ok()
     }
 
-    /// Memoise `result` under `key`, atomically.
+    /// Memoise `result` under `key`, atomically and durably.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn put(&self, key: JobKey, result: &JobResult) -> io::Result<()> {
-        let path = self.path(key);
-        let tmp = path.with_extension("result.tmp");
-        fs::write(&tmp, result.encode())?;
-        fs::rename(&tmp, path)
+        write_durably(&self.path(key), result.encode().as_bytes())
     }
 }
 

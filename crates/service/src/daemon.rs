@@ -13,10 +13,10 @@
 //! checkpoint and finish bit-identically.
 
 use crate::cache::ResultCache;
-use crate::runner::{run_job, RunConfig, RunDisposition};
+use crate::runner::{run_job, RunConfig, RunDisposition, DEFAULT_CHECKPOINT_EVERY};
 use crate::spec::{JobKey, JobResult, JobSpec};
 use crate::store::CheckpointStore;
-use crate::ServiceError;
+use crate::{write_durably, ServiceError};
 use ssr_engine::Scenario;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,8 @@ pub struct DaemonConfig {
     /// Core budget shared by all concurrently running jobs; 0 = the
     /// machine's available parallelism.
     pub cores: usize,
-    /// Per-job checkpoint cadence in interactions; 0 disables.
+    /// Per-job checkpoint cadence in productive interactions (see
+    /// [`RunConfig::checkpoint_every`]); 0 disables.
     pub checkpoint_every: u128,
     /// Idle poll interval.
     pub poll_ms: u64,
@@ -48,12 +49,13 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// Batch-mode defaults over a spool directory: drain when empty,
-    /// single core, checkpoint every 2²² interactions.
+    /// single core, checkpoint every [`DEFAULT_CHECKPOINT_EVERY`]
+    /// productive interactions.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DaemonConfig {
             dir: dir.into(),
             cores: 1,
-            checkpoint_every: 1 << 22,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             poll_ms: 20,
             drain: true,
             max_jobs: None,
@@ -112,10 +114,10 @@ pub fn submit_job(dir: &Path, spec: &JobSpec) -> Result<JobKey, ServiceError> {
     let key = spec.key()?;
     let pending = dir.join("pending");
     fs::create_dir_all(&pending)?;
-    let path = pending.join(format!("{}.job", key.hex()));
-    let tmp = path.with_extension("job.tmp");
-    fs::write(&tmp, spec.encode())?;
-    fs::rename(&tmp, path)?;
+    write_durably(
+        &pending.join(format!("{}.job", key.hex())),
+        spec.encode().as_bytes(),
+    )?;
     Ok(key)
 }
 
@@ -413,10 +415,12 @@ impl Daemon {
 fn write_done(dir: &Path, key: JobKey, result: &JobResult, source: &str) -> std::io::Result<()> {
     let done = dir.join("done");
     fs::create_dir_all(&done)?;
-    let path = done.join(format!("{}.result", key.hex()));
-    let tmp = path.with_extension("result.tmp");
-    fs::write(&tmp, result.encode())?;
-    fs::rename(&tmp, path)?;
+    write_durably(
+        &done.join(format!("{}.result", key.hex())),
+        result.encode().as_bytes(),
+    )?;
+    // The source tag is advisory (`job_status` reads a missing one as
+    // "engine"), so it skips the fsyncs.
     fs::write(done.join(format!("{}.src", key.hex())), source)
 }
 

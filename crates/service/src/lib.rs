@@ -26,7 +26,8 @@
 //!   [`JobKey`]; corrupt entries degrade to cache misses.
 //! * [`run_job`] — one job execution: restore from the latest checkpoint
 //!   if present, replay the engine's exact run-to-silence loop with
-//!   checkpoints interleaved between quanta (snapshots consume no RNG, so
+//!   checkpoints interleaved between quanta every `checkpoint_every`
+//!   productive interactions (snapshots consume no RNG, so
 //!   checkpointed and uninterrupted trajectories are identical), optionally
 //!   self-interrupt after k checkpoints to simulate a kill.
 //! * [`Daemon`] — the spool-directory scheduler: admission control against
@@ -46,7 +47,10 @@
 //! ```
 //!
 //! Submitting the same spec twice is naturally idempotent: the file name
-//! *is* the content key.
+//! *is* the content key. Job files, checkpoints, cached results and
+//! `done/` results are written through one helper that survives power
+//! loss, not only process death: tmp file, fsync, rename, fsync of the
+//! directory.
 
 // `unsafe_code = "forbid"` comes from [workspace.lints] in the root manifest.
 #![warn(missing_docs)]
@@ -59,12 +63,15 @@ pub mod store;
 
 pub use cache::ResultCache;
 pub use daemon::{submit_job, Daemon, DaemonConfig, DaemonStats, JobStatus};
-pub use runner::{run_job, RunConfig, RunDisposition};
+pub use runner::{run_job, RunConfig, RunDisposition, DEFAULT_CHECKPOINT_EVERY};
 pub use spec::{JobInit, JobKey, JobResult, JobSpec, JobStatusKind, OutcomeStats};
 pub use store::CheckpointStore;
 
 use ssr_engine::wire::SnapshotDecodeError;
 use std::fmt;
+use std::fs;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 /// Unified error type of the service layer.
 #[derive(Debug)]
@@ -101,5 +108,53 @@ impl From<std::io::Error> for ServiceError {
 impl From<SnapshotDecodeError> for ServiceError {
     fn from(e: SnapshotDecodeError) -> Self {
         ServiceError::Snapshot(e)
+    }
+}
+
+/// Replace `path` with `bytes` so that a crash or power loss leaves
+/// either the old file or the new one, never a torn one: write
+/// `<path>.tmp`, fsync it, rename it over `path`, then fsync the parent
+/// directory so the rename itself is on disk.
+///
+/// # Errors
+///
+/// Propagates filesystem failures; on error `path` still holds its old
+/// content (a stray `<path>.tmp` may be left behind).
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_durably_replaces_the_file_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("ssr-durable-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.result");
+        write_durably(&path, b"first").unwrap();
+        write_durably(&path, b"second").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["entry.result"]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,6 +10,20 @@
 //! quantum would not do here, because batch mode clips batch sizes near a
 //! cap, which changes the trajectory.
 //!
+//! The cadence counts *productive* interactions, not the interaction
+//! clock. Productive interactions are the count engine's work: a batch or
+//! an exact step costs per productive interaction, and skipped nulls cost
+//! nothing. Near silence the clock races ahead of the work — a tree job
+//! at n = 65536 from a stacked start ends near 10¹⁰ interactions with
+//! 524,288 productive ones — so a clock cadence would checkpoint on
+//! almost every quantum of the exact tail. Productive ≤ clock on every
+//! interval, so the productive cadence never checkpoints more often than
+//! a clock cadence of the same value. A resumed run sets its next mark
+//! to the restored productive count plus the cadence, as an uninterrupted
+//! run does at that checkpoint. The naive engine (used only when a spec
+//! asks for it) still spends Θ(nulls) of wall time between productive
+//! steps, so its checkpoints are further apart in time.
+//!
 //! Fault-plan jobs run through
 //! [`run_outcome`](ssr_engine::Scenario::run_outcome) without mid-run
 //! checkpoints — the fault executor's arrival state is not snapshotable —
@@ -24,14 +38,22 @@ use ssr_engine::engine::NullCountObserver;
 use ssr_engine::{run_loop, Engine, EngineSnapshot, RunOutcome, Scenario};
 use std::ops::ControlFlow;
 
+/// Default checkpoint cadence of [`RunConfig`], [`DaemonConfig`] and
+/// `ssr serve --checkpoint-every`: one checkpoint per 2²² productive
+/// interactions.
+///
+/// [`DaemonConfig`]: crate::DaemonConfig
+pub const DEFAULT_CHECKPOINT_EVERY: u128 = 1 << 22;
+
 /// Execution knobs of one [`run_job`] call — scheduling and durability
 /// policy, none of which affects the trajectory.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Core budget for this job's engine (1 = single-threaded).
     pub threads: usize,
-    /// Checkpoint roughly every this many interactions (clock-based, so
-    /// cadence is identical across engines); 0 disables checkpointing.
+    /// Checkpoint once this many productive interactions have passed
+    /// since the last checkpoint (or since start or resume), checked
+    /// between quanta; 0 disables checkpointing.
     pub checkpoint_every: u128,
     /// Self-interrupt after this many checkpoints (simulated kill; used
     /// by the daemon's kill/resume drills and tests). `None` = run to
@@ -43,7 +65,7 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             threads: 1,
-            checkpoint_every: 1 << 22,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             interrupt_after: None,
         }
     }
@@ -68,7 +90,8 @@ pub enum RunDisposition {
 }
 
 /// Execute one job: restore from the newest checkpoint when one exists,
-/// checkpoint periodically, memoise nothing (the caller owns the cache).
+/// checkpoint every [`RunConfig::checkpoint_every`] productive
+/// interactions, memoise nothing (the caller owns the cache).
 ///
 /// # Errors
 ///
@@ -112,14 +135,15 @@ pub fn run_job(
     }
 
     let every = cfg.checkpoint_every;
-    let mut next_checkpoint = engine.interactions_wide().saturating_add(every.max(1));
+    let productive = |engine: &dyn Engine| u128::from(engine.productive_interactions());
+    let mut next_checkpoint = productive(engine.as_ref()).saturating_add(every);
     let mut taken = 0u32;
     let end = run_loop(
         engine.as_mut(),
         spec.max_interactions,
         &mut NullCountObserver,
         |engine| {
-            if every == 0 || engine.interactions_wide() < next_checkpoint {
+            if every == 0 || productive(engine) < next_checkpoint {
                 return ControlFlow::Continue(());
             }
             let blob = engine.snapshot().to_wire(shape);
@@ -127,7 +151,7 @@ pub fn run_job(
                 return ControlFlow::Break(Err(e.into()));
             }
             taken += 1;
-            next_checkpoint = engine.interactions_wide().saturating_add(every);
+            next_checkpoint = productive(engine).saturating_add(every);
             if cfg.interrupt_after == Some(taken) {
                 return ControlFlow::Break(Ok(RunDisposition::Interrupted { checkpoints: taken }));
             }

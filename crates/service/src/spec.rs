@@ -10,7 +10,9 @@
 use crate::ServiceError;
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
 use ssr_engine::{EngineKind, FaultPlan, Init, InteractionSchema};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Codec version tag of the job-spec text format.
 pub const JOB_SPEC_VERSION: &str = "ssr-job v1";
@@ -218,24 +220,45 @@ impl JobSpec {
     /// run), seed, budget, and the full fault plan. Excludes `threads`:
     /// trajectories are bit-identical at any thread count.
     ///
+    /// The schema hash walks `O(n)` transitions, so it is derived once
+    /// per `(protocol, n)` per process and memoised; a spec's key is
+    /// otherwise a few dozen word hashes.
+    ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Spec`] when the protocol is unknown.
     pub fn key(&self) -> Result<JobKey, ServiceError> {
-        let protocol = self.make_protocol()?;
-        // `make_protocol` succeeding implies the name resolves, but a
-        // typed error beats a daemon abort if the two maps ever drift.
         let canonical = canonical_protocol(&self.protocol).ok_or_else(|| {
             ServiceError::Spec(format!(
                 "unknown protocol '{}' (expected generic|ring|line|tree)",
                 self.protocol
             ))
         })?;
+        Ok(self.key_with(canonical, self.schema_hash(canonical)?))
+    }
+
+    /// The protocol's schema hash, memoised per `(protocol, n)`. The memo
+    /// holds one word per distinct pair a process has keyed. A poisoned
+    /// lock is recovered: entries are inserted whole, so none is torn.
+    fn schema_hash(&self, canonical: &'static str) -> Result<u64, ServiceError> {
+        static MEMO: Mutex<BTreeMap<(&'static str, usize), u64>> = Mutex::new(BTreeMap::new());
+        let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&hash) = memo().get(&(canonical, self.n)) {
+            return Ok(hash);
+        }
+        let hash = self.make_protocol()?.schema_hash();
+        memo().insert((canonical, self.n), hash);
+        Ok(hash)
+    }
+
+    /// The key of this spec given its canonical protocol name and schema
+    /// hash.
+    fn key_with(&self, canonical: &str, schema_hash: u64) -> JobKey {
         let mut lo = Fnv::new(0xCBF2_9CE4_8422_2325);
         let mut hi = Fnv::new(0x6C62_272E_07BB_0142); // independent basis
         for h in [&mut lo, &mut hi] {
             h.word(1); // key-derivation version
-            h.word(protocol.schema_hash());
+            h.word(schema_hash);
             h.bytes(canonical.as_bytes());
             h.word(self.n as u64);
             h.word(self.init.code());
@@ -258,7 +281,7 @@ impl JobSpec {
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&lo.finish().to_le_bytes());
         key[8..].copy_from_slice(&hi.finish().to_le_bytes());
-        Ok(JobKey(key))
+        JobKey(key)
     }
 
     /// Encode as versioned spec text (the spool-file format).
@@ -695,6 +718,28 @@ mod tests {
             spec.engine = engine;
             assert_eq!(spec.key().unwrap().hex(), hex, "{engine}");
         }
+    }
+
+    /// The memoised key equals the key derived from a freshly built
+    /// protocol, and the memo keeps protocols and sizes apart.
+    #[test]
+    fn memoised_keys_match_fresh_derivation_and_stay_distinct() {
+        let mut keys = Vec::new();
+        for protocol in ["generic", "ring", "line", "tree"] {
+            for n in [64, 65, 4_096] {
+                let spec = JobSpec::new(protocol, n, 7);
+                let canonical = canonical_protocol(protocol).unwrap();
+                let fresh = spec.key_with(canonical, spec.make_protocol().unwrap().schema_hash());
+                // Twice: the first call may fill the memo, the second reads it.
+                assert_eq!(spec.key().unwrap(), fresh, "{protocol} n = {n}");
+                assert_eq!(spec.key().unwrap(), fresh, "{protocol} n = {n}");
+                keys.push(fresh);
+            }
+        }
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! One directory per job (`<root>/<key>/`), one file per checkpoint
 //! (`ckpt-<clock>.snap`, clock zero-padded to 32 hex digits so
-//! lexicographic order is clock order). Writes are atomic (tmp + rename)
-//! and the store keeps only the newest [`KEEP`](CheckpointStore::KEEP)
+//! lexicographic order is clock order). Writes are atomic and durable
+//! (`write_durably`: tmp, fsync, rename, directory fsync) and the store keeps only the newest [`KEEP`](CheckpointStore::KEEP)
 //! checkpoints per job — enough to survive a crash *during* a checkpoint
 //! write without unbounded disk growth.
 
 use crate::spec::JobKey;
+use crate::write_durably;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,7 +43,7 @@ impl CheckpointStore {
     }
 
     /// Persist a snapshot blob for `key` at interaction-clock `clock`,
-    /// atomically, then prune old checkpoints beyond
+    /// atomically and durably, then prune old checkpoints beyond
     /// [`KEEP`](Self::KEEP).
     ///
     /// # Errors
@@ -51,9 +52,7 @@ impl CheckpointStore {
     pub fn save(&self, key: JobKey, clock: u128, blob: &[u8]) -> io::Result<()> {
         let dir = self.job_dir(key);
         fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!("{}.tmp", Self::ckpt_name(clock)));
-        fs::write(&tmp, blob)?;
-        fs::rename(&tmp, dir.join(Self::ckpt_name(clock)))?;
+        write_durably(&dir.join(Self::ckpt_name(clock)), blob)?;
         self.prune(&dir)
     }
 

@@ -50,8 +50,9 @@ fn kill_resume_is_bit_identical_at_n_65536() {
         assert_eq!(expected.status, JobStatusKind::Silent);
         assert!(expected.interactions_wide > 0);
 
-        // Same run, checkpointing every 100k interactions, killed after
-        // the first checkpoint lands (mid-batch, far from silence).
+        // Same run, checkpointing every 100k productive interactions
+        // (of 524,288 to silence), killed after the first checkpoint
+        // lands (mid-batch, far from silence).
         let interrupted = RunConfig {
             threads,
             checkpoint_every: 100_000,
@@ -133,6 +134,102 @@ fn repeated_kills_still_converge_to_the_reference() {
     assert_eq!(completed(run_job(&spec, &store, &finish).unwrap()).0, reference);
 }
 
+/// Run `spec` from an empty store under `cfg` capped at `m` checkpoints:
+/// `true` when it took `m` and was interrupted, `false` when it completed
+/// having taken fewer.
+fn takes_at_least(spec: &JobSpec, store: &CheckpointStore, cfg: &RunConfig, m: u32) -> bool {
+    store.clear(spec.key().unwrap()).unwrap();
+    let capped = RunConfig {
+        interrupt_after: Some(m),
+        ..cfg.clone()
+    };
+    match run_job(spec, store, &capped).unwrap() {
+        RunDisposition::Interrupted { checkpoints } => {
+            assert_eq!(checkpoints, m);
+            true
+        }
+        RunDisposition::Completed { .. } => false,
+    }
+}
+
+/// The default cadence counts productive interactions, so jobs whose
+/// clock races far ahead of their work near silence take no checkpoint
+/// at all: the tree job ends near 10¹⁰ interactions with 524,288
+/// productive ones, the line job near 1.7·10¹⁰ with ~120k.
+#[test]
+fn default_cadence_skips_checkpoints_on_short_productive_runs() {
+    let dir = temp_dir("default-cadence");
+    let store = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+    let mut line = JobSpec::new("line", 4_096, 1);
+    line.init = JobInit::Uniform;
+    for spec in [tree_job(65_536, 3), line] {
+        assert!(
+            !takes_at_least(&spec, &store, &RunConfig::default(), 1),
+            "{} n = {} checkpointed at the default cadence",
+            spec.protocol,
+            spec.n
+        );
+    }
+}
+
+/// With cadence E a job takes at most ⌊productive / E⌋ checkpoints, at
+/// least one once productive ≥ 2E, and a run resumed after every
+/// checkpoint takes exactly as many as an uninterrupted one.
+#[test]
+fn checkpoints_follow_productive_work() {
+    let spec = tree_job(16_384, 7);
+    let dir = temp_dir("productive-cadence");
+    let store = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+    let plain = RunConfig {
+        threads: 1,
+        checkpoint_every: 0,
+        interrupt_after: None,
+    };
+    let (reference, _) = completed(run_job(&spec, &store, &plain).unwrap());
+    let productive = u128::from(reference.productive);
+    for every in [20_000, productive / 3, productive / 2 + 1, productive + 1] {
+        let cfg = RunConfig {
+            checkpoint_every: every,
+            ..plain.clone()
+        };
+        let bound = u32::try_from(productive / every).unwrap();
+        assert!(
+            !takes_at_least(&spec, &store, &cfg, bound + 1),
+            "more than {bound} checkpoints at every = {every}"
+        );
+        if productive >= 2 * every {
+            assert!(
+                takes_at_least(&spec, &store, &cfg, 1),
+                "none at every = {every}"
+            );
+        }
+    }
+
+    // Kill after every checkpoint and resume: the resumed runs keep the
+    // uninterrupted cadence, so the kills count the uninterrupted
+    // checkpoints.
+    let cfg = RunConfig {
+        checkpoint_every: 20_000,
+        ..plain.clone()
+    };
+    store.clear(spec.key().unwrap()).unwrap();
+    let kill = RunConfig {
+        interrupt_after: Some(1),
+        ..cfg.clone()
+    };
+    let mut kills = 0u32;
+    let resumed = loop {
+        match run_job(&spec, &store, &kill).unwrap() {
+            RunDisposition::Interrupted { .. } => kills += 1,
+            RunDisposition::Completed { result, .. } => break result,
+        }
+    };
+    assert_eq!(resumed, reference);
+    assert!(kills >= 2);
+    assert!(takes_at_least(&spec, &store, &cfg, kills));
+    assert!(!takes_at_least(&spec, &store, &cfg, kills + 1));
+}
+
 /// Fault-plan jobs have no mid-run checkpoints but must be deterministic
 /// per spec: re-running after a (simulated) kill reproduces the result.
 #[test]
@@ -205,7 +302,8 @@ fn daemon_kill_and_successor_resume() {
     Daemon::new(cfg).unwrap().run().unwrap();
     let reference = daemon::job_result(&ref_dir, key).unwrap();
 
-    // Killed daemon: worker interrupts after the first checkpoint.
+    // Killed daemon: worker interrupts after the first checkpoint, taken
+    // after 100k of the job's 524,288 productive interactions.
     let dir = temp_dir("daemon-kill");
     submit_job(&dir, &spec).unwrap();
     let mut cfg = DaemonConfig::new(&dir);
